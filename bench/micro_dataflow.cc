@@ -316,10 +316,7 @@ BENCHMARK(BM_CompiledRuleFire);
 // --- Semi-naive delta paths ---
 
 // One table-delta propagating through a compiled delta-insert chain:
-// replace a row of `a`, the rule joins `b` and upserts the head. Arg 0
-// runs the legacy planner, arg 1 the semi-naive one (the trigger predicate
-// is first in the body, so both modes fire and the numbers isolate the
-// planner's chain overhead rather than its coverage).
+// replace a row of `a`, the rule joins `b` and upserts the counted head.
 void BM_RuleFireDelta(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -328,7 +325,6 @@ void BM_RuleFireDelta(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.planner_mode = state.range(0) == 0 ? PlannerMode::kLegacy : PlannerMode::kSemiNaive;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -349,12 +345,11 @@ void BM_RuleFireDelta(benchmark::State& state) {
     node.GetTable("a")->Insert(row);  // delta fires the chain synchronously
   }
 }
-BENCHMARK(BM_RuleFireDelta)->Arg(0)->Arg(1);
+BENCHMARK(BM_RuleFireDelta);
 
 // One aggregate update over a table of `rows` live rows: replace a row
-// with a fresh non-extremal value. The legacy watcher (arg1 = 0) rescans
-// the whole table per delta; the incremental watcher (arg1 = 1) updates a
-// per-group support multiset in O(log n).
+// with a fresh non-extremal value. The incremental watcher updates a
+// per-group support multiset in O(log n), so the cost stays flat in rows.
 void BM_AggIncremental(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -363,7 +358,6 @@ void BM_AggIncremental(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.planner_mode = state.range(1) == 0 ? PlannerMode::kLegacy : PlannerMode::kSemiNaive;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -389,16 +383,13 @@ void BM_AggIncremental(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AggIncremental)->Args({64, 0})->Args({64, 1})->Args({1024, 0})->Args({1024, 1});
+BENCHMARK(BM_AggIncremental)->Arg(64)->Arg(1024);
 
 // One insert+delete round trip through a projected-support rule
-// (`h :- b` drops b's second key column, so the head row is not
-// reconstructible from the deletion — the shape PR6 could not retract).
-// Arg 0 runs with support counting off: the delete is a plain table
-// erase and the stale head row lingers until TTL. Arg 1 runs with
-// counting on: the delete flows through the delta-remove chain, the
-// support count drops to zero, and the head row is erased — the ns/op
-// delta is the full counted-retraction bill.
+// (`h :- b` drops b's second key column, so one head row can stand for
+// many derivations): the delete flows through the delta-remove chain,
+// the support count drops to zero, and the head row is erased — the
+// full counted-retraction bill.
 void BM_CountedRetraction(benchmark::State& state) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
@@ -407,7 +398,6 @@ void BM_CountedRetraction(benchmark::State& state) {
   nc.executor = &loop;
   nc.transport = transport.get();
   nc.seed = 1;
-  nc.counting = state.range(0) != 0;
   P2Node node(nc);
   std::string err;
   bool ok = node.Install(
@@ -429,58 +419,7 @@ void BM_CountedRetraction(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CountedRetraction)->Arg(0)->Arg(1);
-
-// Event-probe cost on a skewed two-join rule, static order vs after an
-// adaptive swap. small's cap (16) gives it the lower static prior, so
-// the frozen order probes it first; the data puts all 12 small rows on
-// one key and 200 all-distinct big rows, inverting the real fanouts.
-// Arg 0 measures the frozen (wrong) order; arg 1 enables --replan and
-// lets the node swap to big-first before the timed loop.
-void BM_SkewedJoinReplan(benchmark::State& state) {
-  SimEventLoop loop;
-  SimNetwork net(&loop, Topology(TopologyConfig{}), 1);
-  auto transport = net.MakeTransport("n0", 0);
-  P2NodeConfig nc;
-  nc.executor = &loop;
-  nc.transport = transport.get();
-  nc.seed = 1;
-  nc.replan_interval_s = state.range(0) == 0 ? 0 : 0.5;
-  P2Node node(nc);
-  std::string err;
-  bool ok = node.Install(
-      "materialize(small, infinity, 16, keys(2,3)).\n"
-      "materialize(big, infinity, 1024, keys(2,3)).\n"
-      "r1 out@X(X,A,B,C) :- ev@X(X,A), small@X(X,A,B), big@X(X,A,C).\n",
-      &err);
-  if (!ok) {
-    state.SkipWithError(err.c_str());
-    return;
-  }
-  node.Start();
-  for (int64_t b = 0; b < 12; ++b) {
-    node.GetTable("small")->Insert(
-        Tuple::Make("small", {Value::Addr("n0"), Value::Int(500), Value::Int(b)}));
-  }
-  for (int64_t a = 0; a < 200; ++a) {
-    node.GetTable("big")->Insert(
-        Tuple::Make("big", {Value::Addr("n0"), Value::Int(a), Value::Int(a * 10)}));
-  }
-  loop.RunUntil(2.0);  // with replan on, the swap lands here
-  if (state.range(0) != 0 && node.ReplanSwaps() == 0) {
-    state.SkipWithError("replan swap did not trigger");
-    return;
-  }
-  // A=500 is small's hot key and absent from big: small-first expands
-  // all 12 small rows and probes big 12 times for nothing; big-first
-  // dies after one empty probe.
-  TuplePtr ev = Tuple::Make("ev", {Value::Addr("n0"), Value::Int(500)});
-  for (auto _ : state) {
-    node.Inject(ev);
-    loop.RunUntil(loop.Now() + 0.001);
-  }
-}
-BENCHMARK(BM_SkewedJoinReplan)->Arg(0)->Arg(1);
+BENCHMARK(BM_CountedRetraction);
 
 // --- Observability primitives ---
 

@@ -11,9 +11,10 @@
 // Exit status 0 iff the overlay converged (see src/cli/scenario.h for the
 // per-overlay convergence criteria), which makes p2run usable directly as
 // a smoke test in scripts and CI.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/cli/scenario.h"
@@ -48,14 +49,6 @@ void Usage(const char* argv0) {
       "                       results are bit-for-bit identical either way)\n"
       "  --port <base>        udp: first port to bind (default: kernel picks)\n"
       "  --seed <n>           RNG seed (default 1)\n"
-      "  --planner <mode>     seminaive (default) or legacy rule compilation\n"
-      "  --counting <on|off>  support-counted retractions (default on): every\n"
-      "                       pure-table rule gets a remove chain, derived rows\n"
-      "                       deleted when their last support retracts; off\n"
-      "                       reproduces the PR 6 single-derivation gating\n"
-      "  --replan-interval <s>  adaptively re-cost multi-join rules against live\n"
-      "                       table statistics at this period and swap to a\n"
-      "                       cheaper pre-compiled join order (default 0 = off)\n"
       "  --heal-probe         pathvector --sim: kill one node mid-run, only its\n"
       "                       neighbors react, and report the virtual seconds\n"
       "                       until every live node's routes match ground truth\n"
@@ -105,6 +98,49 @@ bool NeedValue(int argc, char** argv, int i) {
   return true;
 }
 
+// Consumes the value of the flag at argv[*i] as a finite number in
+// [0, hi] — [0, hi) when `hi_open` — or reports why not.
+bool DoubleFlag(int argc, char** argv, int* i, double hi, bool hi_open, double* out) {
+  const char* flag = argv[*i];
+  if (!NeedValue(argc, argv, *i)) {
+    return false;
+  }
+  const char* text = argv[++*i];
+  double v;
+  if (!p2::ParseNonNegDouble(text, &v) || v > hi || (hi_open && v == hi)) {
+    if (std::isinf(hi)) {
+      std::fprintf(stderr, "%s must be a finite number >= 0, got %s\n", flag, text);
+    } else {
+      std::fprintf(stderr, "%s must be in [0, %g%c, got %s\n", flag, hi, hi_open ? ')' : ']',
+                   text);
+    }
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+// Consumes the value of the flag at argv[*i] as a base-10 integer in
+// [lo, hi], or reports why not.
+bool IntFlag(int argc, char** argv, int* i, uint64_t lo, uint64_t hi, uint64_t* out) {
+  const char* flag = argv[*i];
+  if (!NeedValue(argc, argv, *i)) {
+    return false;
+  }
+  const char* text = argv[++*i];
+  uint64_t v;
+  if (!p2::ParseNonNegInt(text, hi, &v) || v < lo) {
+    std::fprintf(stderr, "%s must be an integer in [%llu, %llu], got %s\n", flag,
+                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi),
+                 text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,12 +157,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--nodes") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      long n = std::strtol(argv[++i], nullptr, 10);
-      if (n < 2 || n > 1000000) {
-        std::fprintf(stderr, "--nodes must be in [2, 1000000], got %s\n", argv[i]);
+      uint64_t n;
+      if (!IntFlag(argc, argv, &i, 2, 1000000, &n)) {
         return 2;
       }
       config.nodes = static_cast<size_t>(n);
@@ -140,92 +172,39 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--churn") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.churn_session_mean_s = std::atof(argv[++i]);
-      if (config.churn_session_mean_s < 0) {
-        std::fprintf(stderr, "--churn must be >= 0, got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, kInf, false, &config.churn_session_mean_s)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--duration") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.duration_s = std::atof(argv[++i]);
-      if (config.duration_s < 0) {
-        std::fprintf(stderr, "--duration must be >= 0, got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, kInf, false, &config.duration_s)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--lookups") == 0) {
-      if (!NeedValue(argc, argv, i)) {
+      uint64_t n;
+      if (!IntFlag(argc, argv, &i, 0, 1000000, &n)) {
         return 2;
       }
-      config.lookups = std::atoi(argv[++i]);
-      if (config.lookups < 0 || config.lookups > 1000000) {
-        std::fprintf(stderr, "--lookups must be in [0, 1000000], got %s\n", argv[i]);
-        return 2;
-      }
+      config.lookups = static_cast<int>(n);
     } else if (std::strcmp(arg, "--loss") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.loss_rate = std::atof(argv[++i]);
-      if (config.loss_rate < 0 || config.loss_rate >= 1) {
-        std::fprintf(stderr, "--loss must be in [0, 1), got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, 1, true, &config.loss_rate)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--reliable") == 0) {
       config.reliable = true;
     } else if (std::strcmp(arg, "--shards") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      long shards = std::strtol(argv[++i], nullptr, 10);
-      if (shards < 1 || shards > 1024) {
-        std::fprintf(stderr, "--shards must be in [1, 1024], got %s\n", argv[i]);
+      uint64_t shards;
+      if (!IntFlag(argc, argv, &i, 1, 1024, &shards)) {
         return 2;
       }
       config.shards = static_cast<size_t>(shards);
     } else if (std::strcmp(arg, "--port") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      long port = std::strtol(argv[++i], nullptr, 10);
-      if (port < 1 || port > 65535) {
-        std::fprintf(stderr, "--port must be in [1, 65535], got %s\n", argv[i]);
+      uint64_t port;
+      if (!IntFlag(argc, argv, &i, 1, 65535, &port)) {
         return 2;
       }
       config.udp_base_port = static_cast<uint16_t>(port);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--planner") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "seminaive") == 0 || std::strcmp(mode, "semi-naive") == 0) {
-        config.planner = p2::PlannerMode::kSemiNaive;
-      } else if (std::strcmp(mode, "legacy") == 0) {
-        config.planner = p2::PlannerMode::kLegacy;
-      } else {
-        std::fprintf(stderr, "unknown planner mode; expected seminaive|legacy\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--counting") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      const char* v = argv[++i];
-      if (std::strcmp(v, "on") == 0) {
-        config.counting = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        config.counting = false;
-      } else {
-        std::fprintf(stderr, "--counting expects on|off, got %s\n", v);
+      if (!IntFlag(argc, argv, &i, 0, std::numeric_limits<uint64_t>::max(), &config.seed)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--steal") == 0) {
@@ -239,15 +218,6 @@ int main(int argc, char** argv) {
         config.steal = false;
       } else {
         std::fprintf(stderr, "--steal expects on|off, got %s\n", v);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--replan-interval") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.replan_interval_s = std::atof(argv[++i]);
-      if (config.replan_interval_s < 0) {
-        std::fprintf(stderr, "--replan-interval must be >= 0, got %s\n", argv[i]);
         return 2;
       }
     } else if (std::strcmp(arg, "--heal-probe") == 0) {
@@ -302,21 +272,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--corrupt") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.faults.corrupt_rate = std::atof(argv[++i]);
-      if (config.faults.corrupt_rate < 0 || config.faults.corrupt_rate >= 1) {
-        std::fprintf(stderr, "--corrupt must be in [0, 1), got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, 1, true, &config.faults.corrupt_rate)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--byzantine") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.faults.byzantine_fraction = std::atof(argv[++i]);
-      if (config.faults.byzantine_fraction < 0 || config.faults.byzantine_fraction > 1) {
-        std::fprintf(stderr, "--byzantine must be in [0, 1], got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, 1, false, &config.faults.byzantine_fraction)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--explain") == 0) {
@@ -347,12 +307,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--stats-dump") == 0) {
       config.stats_dump = true;
     } else if (std::strcmp(arg, "--sysstats") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      config.sysstats_period_s = std::atof(argv[++i]);
-      if (config.sysstats_period_s < 0) {
-        std::fprintf(stderr, "--sysstats must be >= 0, got %s\n", argv[i]);
+      if (!DoubleFlag(argc, argv, &i, kInf, false, &config.sysstats_period_s)) {
         return 2;
       }
     } else if (std::strcmp(arg, "--no-metrics") == 0) {
@@ -374,10 +329,7 @@ int main(int argc, char** argv) {
   }
 
   if (explain) {
-    std::fputs(p2::ExplainOverlayPlan(config.overlay, config.planner, config.counting,
-                                      config.replan_interval_s)
-                   .c_str(),
-               stdout);
+    std::fputs(p2::ExplainOverlayPlan(config.overlay).c_str(), stdout);
     return 0;
   }
 

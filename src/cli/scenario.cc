@@ -287,8 +287,6 @@ void WireNodeObs(const ScenarioConfig& config, ScenarioNet* net, P2NodeConfig* n
   nc->metrics = net->metrics();
   nc->watches = config.watches;
   nc->sysstats_period_s = config.sysstats_period_s;
-  nc->counting = config.counting;
-  nc->replan_interval_s = config.replan_interval_s;
 }
 
 // Renders the registry exposition / trace JSON into the report at run end.
@@ -402,9 +400,6 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
   cfg.trace = trace.get();
   cfg.watches = config.watches;
   cfg.sysstats_period_s = config.sysstats_period_s;
-  cfg.planner = config.planner;
-  cfg.counting = config.counting;
-  cfg.replan_interval_s = config.replan_interval_s;
   cfg.faults = config.faults;
   if (config.nodes > 64) {
     // Scale profile: a freshly built large ring heals its successor
@@ -569,7 +564,6 @@ ScenarioReport RunChordUdp(const ScenarioConfig& config, ScenarioNet* net) {
     nc.executor = net->executor(i);
     nc.transport = net->transport(i);
     nc.seed = config.seed + i;
-    nc.planner_mode = config.planner;
     WireNodeObs(config, net, &nc);
     nodes.push_back(std::make_unique<ChordNode>(nc, chord,
                                                 i == 0 ? "" : net->addr(0)));
@@ -645,7 +639,6 @@ ScenarioReport RunGossip(const ScenarioConfig& config, ScenarioNet* net) {
     nc.executor = net->executor(i);
     nc.transport = net->transport(i);
     nc.seed = config.seed + i;
-    nc.planner_mode = config.planner;
     WireNodeObs(config, net, &nc);
     // Chain seeding: node i only knows node i-1; convergence therefore
     // proves full transitive spread, not just one-hop pushes.
@@ -672,7 +665,6 @@ ScenarioReport RunGossip(const ScenarioConfig& config, ScenarioNet* net) {
         nc.executor = net->executor(slot);
         nc.transport = net->transport(slot);
         nc.seed = config.seed + 100003 * salt + slot;
-        nc.planner_mode = config.planner;
         WireNodeObs(config, net, &nc);
         std::vector<std::string> seeds{
             net->addr((slot + net->size() - 1) % net->size())};
@@ -732,7 +724,6 @@ ScenarioReport RunNarada(const ScenarioConfig& config, ScenarioNet* net) {
     nc.executor = net->executor(i);
     nc.transport = net->transport(i);
     nc.seed = config.seed + i;
-    nc.planner_mode = config.planner;
     WireNodeObs(config, net, &nc);
     // Chain mesh: i <-> i+1; epidemic refresh must spread membership.
     std::vector<std::string> neighbors;
@@ -760,7 +751,6 @@ ScenarioReport RunNarada(const ScenarioConfig& config, ScenarioNet* net) {
         nc.executor = net->executor(slot);
         nc.transport = net->transport(slot);
         nc.seed = config.seed + 100003 * salt + slot;
-        nc.planner_mode = config.planner;
         WireNodeObs(config, net, &nc);
         std::vector<std::string> neighbors{
             net->addr((slot + net->size() - 1) % net->size()),
@@ -835,7 +825,6 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
     nc.executor = net->executor(i);
     nc.transport = net->transport(i);
     nc.seed = config.seed + i;
-    nc.planner_mode = config.planner;
     WireNodeObs(config, net, &nc);
     nodes.push_back(std::make_unique<PathVectorNode>(nc, pv, links_for(i)));
     nodes.back()->Start();
@@ -866,7 +855,6 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
         nc.executor = net->executor(slot);
         nc.transport = net->transport(slot);
         nc.seed = config.seed + 100003 * salt + slot;
-        nc.planner_mode = config.planner;
         WireNodeObs(config, net, &nc);
         nodes[slot] = std::make_unique<PathVectorNode>(nc, pv, links_for(slot));
         nodes[slot]->Start();
@@ -907,8 +895,8 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
   // until every live node's best routes match the post-cut ground truth
   // (the ring minus one node is a line; unit costs make truth exact).
   // Distant nodes are NOT told: stale routes must drain through the
-  // planner's retraction chains (or, under --planner legacy, TTL decay),
-  // which is exactly what the metric compares.
+  // planner's retraction chains and soft-state expiry, which is exactly
+  // what the metric measures.
   if (config.heal_probe && net->backend() == BackendKind::kSim && !churn &&
       net->size() >= 4) {
     size_t n = net->size();
@@ -1079,8 +1067,7 @@ ScenarioReport RunScenario(const ScenarioConfig& config) {
   return report;
 }
 
-std::string ExplainOverlayPlan(OverlayKind kind, PlannerMode mode, bool counting,
-                               double replan_interval_s) {
+std::string ExplainOverlayPlan(OverlayKind kind) {
   // One planning node plus a peer slot so seed-member/landmark/link
   // arguments have a real address to point at. Tables are empty at plan
   // time, so the fanout estimates come from the static spec priors and the
@@ -1090,9 +1077,6 @@ std::string ExplainOverlayPlan(OverlayKind kind, PlannerMode mode, bool counting
   nc.executor = net.executor(0);
   nc.transport = net.transport(0);
   nc.seed = 1;
-  nc.planner_mode = mode;
-  nc.counting = counting;
-  nc.replan_interval_s = replan_interval_s;
   switch (kind) {
     case OverlayKind::kChord: {
       ChordNode node(nc, ChordConfig{}, /*landmark_addr=*/"");

@@ -183,26 +183,6 @@ class CountedRetractElement : public Element {
   bool retracting_ = true;
 };
 
-// Fans a rule's event stream into exactly one of N pre-compiled body
-// variants (alternate join orders). The adaptive replan loop flips
-// `active` when live table statistics invert the install-time cost order;
-// tuples only ever flow down one branch, so a swap is a single int store,
-// not a graph rebuild.
-class VariantSwitchElement : public Element {
- public:
-  explicit VariantSwitchElement(std::string name) : Element(std::move(name)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override {
-    (void)port;
-    return PushOut(active_, t, cb);
-  }
-
-  void set_active(int branch) { active_ = branch; }
-  int active() const { return active_; }
-
- private:
-  int active_ = 0;
-};
-
 enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
 
 // Per-event aggregation ("AggWrap"). The rule driver brackets each event
@@ -280,26 +260,20 @@ class RuleDriver : public Element {
 // (group fields..., aggregate) under `out_name` for groups whose aggregate
 // changed.
 //
-// The default mode is incremental over the table's typed delta stream:
+// Maintenance is incremental over the table's typed delta stream:
 // count/sum/avg update in O(1) per delta; min/max keep a per-group ordered
 // support multiset so retracting the current extremum finds its successor
 // in O(log n) instead of rescanning the table. A key replacement carries
-// the displaced row in the delta, so its contribution is retracted exactly
-// — replacements never fire remove listeners, which is why the legacy
-// full-scan mode (kept for differential testing) had to rescan.
+// the displaced row in the delta, so its contribution is retracted exactly.
 class TableAggWatcher : public Element {
  public:
-  enum class Mode { kIncremental, kLegacyRecompute };
-
   TableAggWatcher(std::string name, Table* table, std::vector<size_t> group_cols,
-                  AggKind kind, size_t agg_col, std::string out_name,
-                  Mode mode = Mode::kIncremental);
+                  AggKind kind, size_t agg_col, std::string out_name);
 
   // Subscribes to the table (inserts AND removals — aggregates must shrink
   // when rows are deleted, evicted or expire). Call once after wiring.
-  // Incremental mode seeds its running state from the table's current rows
-  // without emitting; like the legacy watcher, the first report happens on
-  // the first post-attach delta.
+  // Seeds the running state from the table's current rows without
+  // emitting; the first report happens on the first post-attach delta.
   void Attach();
 
  private:
@@ -322,26 +296,21 @@ class TableAggWatcher : public Element {
   // returns the group key it touched.
   std::vector<Value> ApplyRow(const TuplePtr& row, int sign);
   // Emits the group's aggregate if it changed since last reported; emits
-  // (key..., 0) for a vanished count group, mirroring the legacy protocol.
+  // (key..., 0) for a vanished count group.
   void EmitGroup(const std::vector<Value>& key);
-  void Recompute();  // legacy full-scan mode
 
   Table* table_;
   std::vector<size_t> group_cols_;
   AggKind kind_;
   size_t agg_col_;
   SchemaId out_schema_;
-  Mode mode_;
-  // Incremental: deltas arriving while one is being processed (e.g. a
-  // downstream rule writing back into this table) are queued and drained
-  // in order by the active invocation.
+  // Deltas arriving while one is being processed (e.g. a downstream rule
+  // writing back into this table) are queued and drained in order by the
+  // active invocation.
   bool processing_ = false;
   std::deque<TableDelta> pending_;
   std::unordered_map<std::vector<Value>, Group, ValueVecHash, ValueVecEq> groups_;
-  // Legacy: Scan() can purge rows and re-enter via the removal listener;
-  // the nested request queues a re-run instead of being dropped.
-  bool recomputing_ = false;
-  bool recompute_queued_ = false;
+  // Last reported aggregate per group.
   std::unordered_map<std::vector<Value>, Value, ValueVecHash, ValueVecEq> last_;
 };
 

@@ -1,6 +1,9 @@
 #include "src/harness/faults.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/net/stack/frame.h"
@@ -47,26 +50,9 @@ bool SplitColon(const std::string& spec, size_t want, std::vector<std::string>* 
   return out->size() == want;
 }
 
-bool ParseNonNegDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || v < 0) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseDomainIndex(const std::string& s, size_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0 || v > 4096) {
+  uint64_t v;
+  if (!ParseNonNegInt(s, 4096, &v)) {
     return false;
   }
   *out = static_cast<size_t>(v);
@@ -127,6 +113,35 @@ bool StillParses(const std::vector<uint8_t>& bytes) {
 }
 
 }  // namespace
+
+bool ParseNonNegDouble(const std::string& s, double* out) {
+  // strtod alone would skip leading blanks and accept "nan" and "inf".
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v) || v < 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseNonNegInt(const std::string& s, uint64_t max, uint64_t* out) {
+  // strtoull alone would skip leading blanks and wrap a leading '-'.
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || v > max) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
 
 bool PartitionSpec::Contains(size_t domain) const {
   return std::find(domains.begin(), domains.end(), domain) != domains.end();

@@ -85,6 +85,12 @@ struct FaultPlan {
   double LastTransitionS() const;
 };
 
+// Numeric flag parsers; false (with untouched *out) unless the whole string
+// is one number. Doubles must be finite and >= 0 ("nan", "inf", "0.5x" and
+// "" are rejected); integers are base-10 digits only, at most `max`.
+bool ParseNonNegDouble(const std::string& s, double* out);
+bool ParseNonNegInt(const std::string& s, uint64_t max, uint64_t* out);
+
 // Flag-string parsers; false (with untouched *out) on malformed specs.
 bool ParseAsymLossSpec(const std::string& spec, AsymLossRule* out);
 bool ParsePartitionSpec(const std::string& spec, PartitionSpec* out);

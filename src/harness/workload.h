@@ -66,12 +66,6 @@ struct TestbedConfig {
   // control) between every node and its SimTransport.
   bool reliable = false;
   ReliableConfig reliable_config;
-  // Planner configuration for every P2 node the testbed builds (ignored by
-  // the baseline). `counting` toggles support-counted retractions;
-  // `replan_interval_s` > 0 enables the adaptive join-order loop.
-  PlannerMode planner = PlannerMode::kSemiNaive;
-  bool counting = true;
-  double replan_interval_s = 0;
   // Observability (all optional). The registry/trace need one lane per
   // shard plus the coordinator — with shards > 1 that is
   // topology.num_domains + 1 lanes, else 2; watches and the sysstats

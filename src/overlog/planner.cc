@@ -1,6 +1,5 @@
 #include "src/overlog/planner.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -111,45 +110,6 @@ bool BodyHasVolatileTerm(const RuleAst& rule) {
   return false;
 }
 
-// A remove chain deletes the head tuple a retracted body row once derived.
-// Without per-derivation support counting that is only sound when the head
-// tuple uniquely determines the whole derivation — otherwise a head row
-// with several supports dies when ANY one of them is retracted (e.g.
-// Chord's pingNode(NI,SI) :- succ(NI,S,SI) projects away S, so one evicted
-// succ row must NOT stop pings that other succ rows still justify). Safe
-// iff every positive body-predicate argument is a constant or a variable
-// that reappears in the head, and nothing in the body is volatile.
-bool RemoveChainSafe(const RuleAst& rule) {
-  if (BodyHasVolatileTerm(rule)) {
-    return false;
-  }
-  std::unordered_set<std::string> head_vars;
-  for (const ExprPtr& a : rule.head.args) {
-    if (a->kind == ExprKind::kVar) {
-      head_vars.insert(a->name);
-    }
-  }
-  for (const BodyTerm& term : rule.body) {
-    if (!std::holds_alternative<PredicateAst>(term)) {
-      continue;
-    }
-    const PredicateAst& p = std::get<PredicateAst>(term);
-    if (p.negated) {
-      continue;  // anti-joins contribute no support row to retract
-    }
-    for (const ExprPtr& a : p.args) {
-      if (a->kind == ExprKind::kConst) {
-        continue;
-      }
-      if (a->kind == ExprKind::kVar && a->name != "_" && head_vars.count(a->name) > 0) {
-        continue;
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 // Plans all the rules of one program into a node (friend of P2Node).
@@ -157,19 +117,9 @@ bool RemoveChainSafe(const RuleAst& rule) {
 class PlanBuilder {
  public:
   PlanBuilder(const ProgramAst& program, P2Node* node)
-      : program_(program),
-        node_(node),
-        graph_(node->graph_),
-        semi_naive_(node->planner_mode_ == PlannerMode::kSemiNaive),
-        counting_(semi_naive_ && node->counting_),
-        replan_(semi_naive_ && node->replan_interval_s_ > 0) {}
+      : program_(program), node_(node), graph_(node->graph_) {}
 
   bool Run(std::string* err) {
-    explain_ += std::string("plan mode=") + (semi_naive_ ? "semi-naive" : "legacy");
-    if (semi_naive_) {
-      explain_ += counting_ ? " counting=on" : " counting=off";
-    }
-    explain_ += "\n";
     // Watched predicates: the program's watch() clauses plus any requested
     // at node construction (p2run --watch). Rule plans splice head taps for
     // these as they are built, so collect the set first.
@@ -182,9 +132,7 @@ class PlanBuilder {
     if (!CreateTables(err)) {
       return false;
     }
-    if (counting_) {
-      FindRecursiveTables();
-    }
+    FindRecursiveTables();
     for (const RuleAst& rule : program_.rules) {
       if (rule.IsFact()) {
         if (!InstallFact(rule, err)) {
@@ -358,19 +306,20 @@ class PlanBuilder {
   struct Chain {
     RuleDriver* driver = nullptr;
     Element* tail = nullptr;
-    // Output port of `tail` the next element attaches to. Almost always 0;
-    // a variant switch fans one branch out of each of its ports.
-    int tail_port = 0;
+    // Support-count element closing a counted chain (at most one of the
+    // two is set); WireEvent hands it to the event listener, which sets
+    // its per-push mode.
+    SupportCountElement* counter = nullptr;
+    CountedRetractElement* retractor = nullptr;
   };
 
   void Append(Chain* chain, Element* el) {
-    graph_.Connect(chain->tail, chain->tail_port, el, 0);
+    graph_.Connect(chain->tail, 0, el, 0);
     chain->tail = el;
-    chain->tail_port = 0;
   }
 
-  // Lazily creates the per-head-table derivation count store (counting
-  // planner); shared by every counted rule deriving into `head`.
+  // Lazily creates the per-head-table derivation count store; shared by
+  // every counted rule deriving into `head`.
   SupportCounts* GetSupportCounts(Table* head) {
     std::unique_ptr<SupportCounts>& slot = node_->support_counts_[head];
     if (slot == nullptr) {
@@ -507,8 +456,6 @@ class PlanBuilder {
     for (const JoinKey& k : keys) {
       key_cols.push_back(k.table_col);
     }
-    double est_static = table->EstimateFanoutStatic(key_cols);
-    double est_live = table->EstimateFanout(key_cols);
     if (pred.negated) {
       if (!new_binds.empty()) {
         *err = "negated predicate '" + pred.name + "' binds new variables";
@@ -519,21 +466,12 @@ class PlanBuilder {
                                                 table, std::move(keys)));
       return true;  // width unchanged
     }
+    // The estimate is taken before the join declares its index, as the
+    // cost ordering saw it.
     explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols) +
-                " est=" + EstToString(est_static) + " live=" + EstToString(est_live) + "\n";
+                " est=" + EstToString(table->EstimateFanout(key_cols)) + "\n";
     Append(chain, graph_.Add<JoinElement>(Gensym("join:" + pred.name), MakePelEnv(), table,
                                           std::move(keys), "j"));
-    if (probe_sink_ != nullptr) {
-      // The JoinElement just declared its index, so the handle resolves now
-      // and stays valid (indices are append-only).
-      probe_sink_->probes.push_back(ReplanProbe{table, table->IndexHandle(key_cols),
-                                                table->PrimaryKeyCovered(key_cols),
-                                                est_static});
-      if (!probe_sink_->order.empty()) {
-        probe_sink_->order += ",";
-      }
-      probe_sink_->order += pred.name;
-    }
     size_t base = *width;
     for (const Pending& nb : new_binds) {
       (*env)[nb.var] = base + nb.col;
@@ -649,13 +587,10 @@ class PlanBuilder {
     std::string label = rule.id.empty() ? Gensym("rule") : rule.id;
     explain_ += "rule " + label + ": table-aggregate " + AggKindName(agg.kind) + "(" +
                 pred.name + ") group=" + ColsToString(group_cols) + " col=" +
-                std::to_string(agg_col) + " -> " + rule.head.name +
-                (semi_naive_ ? " (incremental)" : " (full-scan)") + "\n";
-    auto* watcher = graph_.Add<TableAggWatcher>(
-        Gensym("tableagg:" + rule.head.name), table, std::move(group_cols), agg.kind, agg_col,
-        rule.head.name,
-        semi_naive_ ? TableAggWatcher::Mode::kIncremental
-                    : TableAggWatcher::Mode::kLegacyRecompute);
+                std::to_string(agg_col) + " -> " + rule.head.name + " (incremental)\n";
+    auto* watcher =
+        graph_.Add<TableAggWatcher>(Gensym("tableagg:" + rule.head.name), table,
+                                    std::move(group_cols), agg.kind, agg_col, rule.head.name);
     if (WatchTapElement* tap = MaybeHeadTap(rule.head.name, label)) {
       graph_.Connect(watcher, 0, tap, 0);
       graph_.Connect(tap, 0, node_->route_out_, 0);
@@ -721,29 +656,23 @@ class PlanBuilder {
       *err = "rule " + rule.id + ": no event predicate in body";
       return false;
     }
-    if (!semi_naive_ || agg.present) {
-      // Legacy mode (and per-event AggWrap rules, whose bracket semantics
-      // are tied to a single triggering event): first table predicate.
+    if (agg.present) {
+      // Per-event AggWrap rules: the bracket semantics are tied to a single
+      // triggering event, so only the first table predicate triggers.
       return PlanRuleVariant(rule, agg, table_idxs[0], TriggerKind::kDeltaInsert, base_label,
                              /*counted=*/false, err);
     }
-    // Counting lifts the single-derivation restriction: with per-head-row
-    // derivation counts a retracted support decrements and deletes only at
-    // zero, so EVERY pure-table rule with a materialized head — including
-    // projected-support shapes like Chord's pingNode :- succ — gets remove
-    // chains. Volatile bodies stay uncounted (re-deriving the retracted
-    // head is not reproducible), and so do heads in a table-dependency
-    // cycle: counting is only sound for non-recursive strata — a cyclic
-    // retract/re-derive (e.g. through an aggregate that feeds its own
-    // support table) would oscillate forever. With counting off, remove
-    // chains keep the PR 6 gate: only provably single-derivation rules
-    // (RemoveChainSafe).
-    bool counted = counting_ && !rule.delete_head && FindTable(rule.head.name) != nullptr &&
+    // Support counting: with per-head-row derivation counts a retracted
+    // support decrements and deletes only at zero, so every pure-table
+    // rule with a materialized head — including projected-support shapes
+    // like Chord's pingNode :- succ — gets remove chains. Volatile bodies
+    // stay uncounted (re-deriving the retracted head is not reproducible),
+    // and so do heads in a table-dependency cycle: counting is only sound
+    // for non-recursive strata — a cyclic retract/re-derive (e.g. through
+    // an aggregate that feeds its own support table) would oscillate
+    // forever. Uncounted heads age out by soft-state expiry.
+    bool counted = !rule.delete_head && FindTable(rule.head.name) != nullptr &&
                    !BodyHasVolatileTerm(rule) && recursive_tables_.count(rule.head.name) == 0;
-    bool remove_chains = counting_
-                             ? counted
-                             : !rule.delete_head && FindTable(rule.head.name) != nullptr &&
-                                   RemoveChainSafe(rule);
     // Semi-naive: a row arriving in ANY body table can complete the join,
     // so each materialized predicate gets its own insert-delta chain.
     std::unordered_set<std::string> used_labels;
@@ -759,13 +688,12 @@ class PlanBuilder {
         return false;
       }
     }
-    // Remove path: when the head is itself materialized, a retracted body
-    // row un-derives head tuples. Each remove-delta chain re-joins the
-    // remaining predicates against current state, projects the head tuple
-    // and retracts it locally — retractions propagate as deltas instead of
-    // waiting for soft-state expiry. Counted rules decrement the head's
-    // support count (delete at zero); uncounted safe rules delete outright.
-    if (remove_chains) {
+    // Remove path: a retracted body row un-derives head tuples. Each
+    // remove-delta chain re-joins the remaining predicates against current
+    // state, projects the head tuple and decrements its support count
+    // locally (delete at zero) — retractions propagate as deltas instead of
+    // waiting for soft-state expiry.
+    if (counted) {
       for (int idx : table_idxs) {
         const PredicateAst& p = std::get<PredicateAst>(rule.body[idx]);
         std::string label = base_label + "-" + p.name;
@@ -781,10 +709,8 @@ class PlanBuilder {
     return true;
   }
 
-  // Plans one delta/event variant of a rule: driver, body chain(s), head
-  // projection, head routing, event wiring. With adaptive replanning
-  // enabled, multi-join chains are lowered once per candidate join order
-  // behind a VariantSwitchElement.
+  // Plans one delta/event variant of a rule: driver, body chain, head
+  // projection, head routing, event wiring.
   bool PlanRuleVariant(const RuleAst& rule, const AggInfo& agg, int event_idx,
                        TriggerKind trig, const std::string& label, bool counted,
                        std::string* err) {
@@ -815,229 +741,34 @@ class PlanBuilder {
     if (!BindEvent(event, &chain, &env, err, /*skip_constant_checks=*/is_periodic)) {
       return false;
     }
-    counters_current_.clear();
-    retractors_current_.clear();
 
     // 2. Remaining body terms.
     std::vector<const BodyTerm*> remaining;
-    size_t positive_joins = 0;
     for (size_t i = 0; i < rule.body.size(); ++i) {
       if (static_cast<int>(i) != event_idx) {
         remaining.push_back(&rule.body[i]);
-        if (std::holds_alternative<PredicateAst>(rule.body[i]) &&
-            !std::get<PredicateAst>(rule.body[i]).negated) {
-          ++positive_joins;
-        }
       }
     }
-    bool cost_order = semi_naive_ && !BodyHasVolatileTerm(rule);
-    if (semi_naive_ && !cost_order) {
+    bool by_cost = !BodyHasVolatileTerm(rule);
+    if (!by_cost) {
       explain_ += "    order=source (volatile exprs)\n";
     }
+    if (!OrderBody(rule, &remaining, &chain, &env, &width, by_cost, err)) {
+      return false;
+    }
 
-    // With replanning on, a cost-ordered chain with a real ordering choice
-    // (≥ 2 positive joins, no per-event aggregate bracket) is lowered once
-    // per distinct candidate order behind a switch; otherwise the single
-    // greedy chain is built inline.
-    if (replan_ && cost_order && !agg.present && positive_joins >= 2) {
-      if (!BuildOrderVariants(rule, agg, trig, label, counted, remaining, &chain, env, width,
-                              err)) {
-        return false;
-      }
-    } else {
-      if (!(cost_order
-                ? OrderBodyByCost(rule, &remaining, &chain, &env, &width, nullptr, err)
-                : OrderBodyBySource(rule, &remaining, &chain, &env, &width, err))) {
-        return false;
-      }
-      if (!FinishChainTail(rule, agg, &event, trig, label, counted, &chain, env, err)) {
-        return false;
-      }
+    // 3 + 4. Head projection and routing.
+    if (!FinishChainTail(rule, agg, event, trig, label, counted, &chain, env, err)) {
+      return false;
     }
 
     // 5. Event source wiring.
-    return WireEvent(rule, event, trig, is_periodic, counted, driver, err);
-  }
-
-  // Lowers every distinct candidate join order as its own fully built body
-  // chain off one VariantSwitchElement, recording per-variant probe
-  // sequences for the replan loop. Branch 0 is the greedy static order and
-  // starts active.
-  bool BuildOrderVariants(const RuleAst& rule, const AggInfo& agg, TriggerKind trig,
-                          const std::string& label, bool counted,
-                          const std::vector<const BodyTerm*>& remaining, Chain* chain,
-                          const VarEnv& env, size_t width, std::string* err) {
-    // Candidate orders: greedy, plus greedy-with-forced-first for every
-    // other join that could legally run first. Deduplicate by the positive
-    // join sequence; cap at kMaxOrderVariants fully lowered branches.
-    std::vector<const PredicateAst*> greedy_seq;
-    if (!SimulateOrder(remaining, env, nullptr, &greedy_seq)) {
-      *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
-      return false;
-    }
-    std::vector<const PredicateAst*> forces{nullptr};
-    std::vector<std::vector<const PredicateAst*>> seqs{greedy_seq};
-    for (const BodyTerm* term : remaining) {
-      if (static_cast<int>(forces.size()) >= kMaxOrderVariants) {
-        break;
-      }
-      if (!std::holds_alternative<PredicateAst>(*term)) {
-        continue;
-      }
-      const PredicateAst* p = &std::get<PredicateAst>(*term);
-      if (p->negated || p == greedy_seq.front()) {
-        continue;
-      }
-      std::vector<const PredicateAst*> seq;
-      if (!SimulateOrder(remaining, env, p, &seq)) {
-        continue;  // can't run first (would leave variables unbound)
-      }
-      if (std::find(seqs.begin(), seqs.end(), seq) != seqs.end()) {
-        continue;
-      }
-      forces.push_back(p);
-      seqs.push_back(std::move(seq));
-    }
-    if (forces.size() < 2) {
-      // No real alternative: build the single greedy chain inline.
-      Chain single = *chain;
-      VarEnv benv = env;
-      size_t bwidth = width;
-      std::vector<const BodyTerm*> terms = remaining;
-      if (!OrderBodyByCost(rule, &terms, &single, &benv, &bwidth, nullptr, err)) {
-        return false;
-      }
-      return FinishChainTail(rule, agg, nullptr, trig, label, counted, &single, benv, err);
-    }
-    auto* sw = graph_.Add<VariantSwitchElement>(Gensym("plansel:" + label));
-    Append(chain, sw);
-    ReplanEntry entry;
-    entry.label = label;
-    entry.sw = sw;
-    for (size_t k = 0; k < forces.size(); ++k) {
-      Chain branch{chain->driver, sw, static_cast<int>(k)};
-      VarEnv benv = env;
-      size_t bwidth = width;
-      std::vector<const BodyTerm*> terms = remaining;
-      if (k > 0) {
-        explain_ += "    alt-plan " + std::to_string(k) + ":\n";
-        pad_ = "      ";
-      }
-      ReplanVariant variant;
-      probe_sink_ = &variant;
-      bool ok = OrderBodyByCost(rule, &terms, &branch, &benv, &bwidth, forces[k], err) &&
-                FinishChainTail(rule, agg, nullptr, trig, label, counted, &branch, benv, err);
-      probe_sink_ = nullptr;
-      pad_ = "    ";
-      if (!ok) {
-        return false;
-      }
-      entry.variants.push_back(std::move(variant));
-    }
-    node_->replan_.AddEntry(std::move(entry));
-    return true;
-  }
-
-  // Mirrors OrderBodyByCost's selection logic without building elements:
-  // computes the positive-join order that the builder would produce, with
-  // `force_first` (when non-null) pinned as the first join. Returns false
-  // when no legal order exists (or the forced join cannot run first).
-  bool SimulateOrder(const std::vector<const BodyTerm*>& terms, VarEnv env,
-                     const PredicateAst* force_first,
-                     std::vector<const PredicateAst*>* join_seq) {
-    std::vector<const BodyTerm*> remaining = terms;
-    size_t next_pos = 10000;  // fake binding slots; only membership matters
-    bool force_pending = force_first != nullptr;
-    while (!remaining.empty()) {
-      bool progressed = true;
-      while (progressed) {
-        progressed = false;
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const BodyTerm& term = *remaining[i];
-          bool processable = false;
-          if (std::holds_alternative<PredicateAst>(term)) {
-            const PredicateAst& p = std::get<PredicateAst>(term);
-            if (!p.negated) {
-              continue;
-            }
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else if (std::holds_alternative<AssignAst>(term)) {
-            processable = ExprBound(*std::get<AssignAst>(term).expr, env);
-          } else {
-            processable = ExprBound(*std::get<ExprPtr>(term), env);
-          }
-          if (!processable) {
-            continue;
-          }
-          if (std::holds_alternative<AssignAst>(term)) {
-            env[std::get<AssignAst>(term).var] = next_pos++;
-          }
-          remaining.erase(remaining.begin() + i);
-          progressed = true;
-          break;
-        }
-      }
-      if (remaining.empty()) {
-        break;
-      }
-      int best = -1;
-      if (force_pending) {
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          if (std::holds_alternative<PredicateAst>(*remaining[i]) &&
-              &std::get<PredicateAst>(*remaining[i]) == force_first) {
-            best = static_cast<int>(i);
-            break;
-          }
-        }
-        if (best < 0 || !PredArgsBound(*force_first, env)) {
-          return false;
-        }
-        force_pending = false;
-      } else {
-        double best_est = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const BodyTerm& term = *remaining[i];
-          if (!std::holds_alternative<PredicateAst>(term)) {
-            continue;
-          }
-          const PredicateAst& p = std::get<PredicateAst>(term);
-          if (p.negated || !PredArgsBound(p, env)) {
-            continue;
-          }
-          Table* table = FindTable(p.name);
-          double est = table == nullptr ? std::numeric_limits<double>::max()
-                                        : table->EstimateFanout(BoundCols(p, env));
-          if (est < best_est) {
-            best_est = est;
-            best = static_cast<int>(i);
-          }
-        }
-      }
-      if (best < 0) {
-        return false;
-      }
-      const PredicateAst& p = *(&std::get<PredicateAst>(*remaining[best]));
-      join_seq->push_back(&p);
-      for (const ExprPtr& a : p.args) {
-        if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
-          env[a->name] = next_pos++;
-        }
-      }
-      remaining.erase(remaining.begin() + best);
-    }
-    return true;
+    return WireEvent(rule, event, trig, chain, err);
   }
 
   // Steps 3 + 4 of rule planning: head projection (+ aggregation bracket),
-  // watch tap, head routing / retraction. Run once per body chain (so each
-  // order variant carries its own tail).
-  bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst* event,
+  // watch tap, head routing / retraction.
+  bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst& event,
                        TriggerKind trig, const std::string& label, bool counted, Chain* chain,
                        const VarEnv& env, std::string* err) {
     // 3. Head projection (+ aggregation).
@@ -1065,12 +796,11 @@ class PlanBuilder {
                                              rule.head.name, std::move(head_programs)));
 
     if (agg.present) {
-      P2_CHECK(event != nullptr);  // agg rules never build order variants
       // Empty-group emission (count<*> over zero matches) requires every
       // group field to be computable from the event alone.
       VarEnv event_env;
-      for (size_t i = 0; i < event->args.size(); ++i) {
-        const Expr& a = *event->args[i];
+      for (size_t i = 0; i < event.args.size(); ++i) {
+        const Expr& a = *event.args[i];
         if (a.kind == ExprKind::kVar && a.name != "_" && event_env.count(a.name) == 0) {
           event_env[a.name] = i;
         }
@@ -1109,7 +839,7 @@ class PlanBuilder {
     }
     if (trig == TriggerKind::kDeltaRemove) {
       Table* head_table = FindTable(rule.head.name);
-      P2_CHECK(head_table != nullptr);  // caller builds remove variants only then
+      P2_CHECK(counted && head_table != nullptr);  // remove variants are counted
       // Retraction only un-derives rows stored on this node; a remote head
       // ages out by soft-state expiry as before (there is no wire delete).
       PelProgram prog;
@@ -1118,17 +848,10 @@ class PlanBuilder {
       prog.Emit(PelOp::kEq);
       Append(chain,
              graph_.Add<FilterElement>(Gensym("localguard"), MakePelEnv(), std::move(prog)));
-      if (counted) {
-        auto* retractor = graph_.Add<CountedRetractElement>(
-            Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
-        Append(chain, retractor);
-        retractors_current_.push_back(retractor);
-        explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
-      } else {
-        Append(chain,
-               graph_.Add<DeleteElement>(Gensym("retract:" + rule.head.name), head_table));
-        explain_ += pad_ + "project " + rule.head.name + " -> retract (local)\n";
-      }
+      chain->retractor = graph_.Add<CountedRetractElement>(
+          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
+      Append(chain, chain->retractor);
+      explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
     } else if (rule.delete_head) {
       Table* table = FindTable(rule.head.name);
       if (table == nullptr) {
@@ -1140,26 +863,26 @@ class PlanBuilder {
     } else if (counted && trig == TriggerKind::kDeltaInsert) {
       Table* head_table = FindTable(rule.head.name);
       P2_CHECK(head_table != nullptr);  // counted implies materialized head
-      auto* counter = graph_.Add<SupportCountElement>(Gensym("count:" + rule.head.name),
-                                                      GetSupportCounts(head_table),
-                                                      node_->addr_);
-      Append(chain, counter);
-      counters_current_.push_back(counter);
-      graph_.Connect(chain->tail, chain->tail_port, node_->route_out_, 0);
+      chain->counter = graph_.Add<SupportCountElement>(Gensym("count:" + rule.head.name),
+                                                       GetSupportCounts(head_table),
+                                                       node_->addr_);
+      Append(chain, chain->counter);
+      graph_.Connect(chain->tail, 0, node_->route_out_, 0);
       explain_ += pad_ + "project " + rule.head.name + " -> count+route\n";
     } else {
-      graph_.Connect(chain->tail, chain->tail_port, node_->route_out_, 0);
+      graph_.Connect(chain->tail, 0, node_->route_out_, 0);
       explain_ += pad_ + "project " + rule.head.name + " -> route\n";
     }
     return true;
   }
 
   // Step 5 of rule planning: connects the rule driver to its event source.
-  // Runs once per rule variant, after every body chain is built, so the
-  // counting listeners capture the full set of per-branch mode elements.
+  // Runs after the chain is built, so a counted chain's listener can take
+  // the chain's support-count element.
   bool WireEvent(const RuleAst& rule, const PredicateAst& event, TriggerKind trig,
-                 bool is_periodic, bool counted, RuleDriver* driver, std::string* err) {
-    if (is_periodic) {
+                 const Chain& chain, std::string* err) {
+    RuleDriver* driver = chain.driver;
+    if (trig == TriggerKind::kPeriodic) {
       double period = 0;
       uint64_t count = 0;
       if (event.args.size() < 3 || event.args[2]->kind != ExprKind::kConst) {
@@ -1186,79 +909,54 @@ class PlanBuilder {
     } else if (trig == TriggerKind::kDeltaInsert) {
       Table* table = FindTable(event.name);
       P2_CHECK(table != nullptr);
-      if (counted) {
+      if (SupportCountElement* counter = chain.counter) {
         // Counting listener: a genuinely new body row (insert, or replace
         // that changed content) derives NEW supports; a TTL refresh of an
         // identical row re-derives the head — the refresh must propagate —
         // without touching counts. The mode is save/restored around the
         // synchronous push so re-entrant deltas nest correctly.
-        std::vector<SupportCountElement*> counters = std::move(counters_current_);
-        counters_current_.clear();
-        P2_CHECK(!counters.empty());
-        table->AddTypedListener([driver, counters](const TableDelta& d) {
+        table->AddTypedListener([driver, counter](const TableDelta& d) {
           if (d.kind == TableDelta::Kind::kRemove) {
             return;
           }
           bool fresh = d.kind == TableDelta::Kind::kInsert ||
                        (d.old_tuple != nullptr && !d.old_tuple->SameAs(*d.tuple));
-          bool saved = counters.front()->counting();
-          for (SupportCountElement* c : counters) {
-            c->set_counting(fresh);
-          }
+          bool saved = counter->counting();
+          counter->set_counting(fresh);
           driver->Push(0, d.tuple, nullptr);
-          for (SupportCountElement* c : counters) {
-            c->set_counting(saved);
-          }
+          counter->set_counting(saved);
         });
       } else {
         table->AddDeltaListener([driver](const TuplePtr& t) { driver->Push(0, t, nullptr); });
       }
     } else if (trig == TriggerKind::kDeltaRemove) {
       Table* table = FindTable(event.name);
-      P2_CHECK(table != nullptr);
-      if (counted) {
-        // Counting remove listener. Three retraction sources: real removals
-        // (delete/eviction) retract-and-delete-at-zero; a replace that
-        // changed content retracts the OLD row's derivations (the insert
-        // listener, attached earlier, already counted the new ones — inc
-        // before dec, so a row passing through the same key never dips to
-        // zero transiently); TTL expiry decrements WITHOUT deleting, so
-        // counts track live supports exactly while expiry stays
-        // non-retracting.
-        std::vector<CountedRetractElement*> retractors = std::move(retractors_current_);
-        retractors_current_.clear();
-        P2_CHECK(!retractors.empty());
-        table->AddTypedListener([driver, retractors](const TableDelta& d) {
-          TuplePtr gone;
-          bool retract = true;
-          if (d.kind == TableDelta::Kind::kRemove) {
-            gone = d.tuple;
-            retract = d.cause != TableDelta::Cause::kExpiry;
-          } else if (d.kind == TableDelta::Kind::kReplace && d.old_tuple != nullptr &&
-                     !d.old_tuple->SameAs(*d.tuple)) {
-            gone = d.old_tuple;
-          } else {
-            return;
-          }
-          bool saved = retractors.front()->retracting();
-          for (CountedRetractElement* r : retractors) {
-            r->set_retracting(retract);
-          }
-          driver->Push(0, gone, nullptr);
-          for (CountedRetractElement* r : retractors) {
-            r->set_retracting(saved);
-          }
-        });
-      } else {
-        // Only true retractions (deletes, evictions) propagate; TTL expiry
-        // is the refresh cycle at work, and derived rows age out on their
-        // own TTL as they always have.
-        table->AddTypedListener([driver](const TableDelta& d) {
-          if (d.kind == TableDelta::Kind::kRemove && d.cause != TableDelta::Cause::kExpiry) {
-            driver->Push(0, d.tuple, nullptr);
-          }
-        });
-      }
+      CountedRetractElement* retractor = chain.retractor;
+      P2_CHECK(table != nullptr && retractor != nullptr);
+      // Counting remove listener. Three retraction sources: real removals
+      // (delete/eviction) retract-and-delete-at-zero; a replace that changed
+      // content retracts the OLD row's derivations (the insert listener,
+      // attached earlier, already counted the new ones — inc before dec, so
+      // a row passing through the same key never dips to zero transiently);
+      // TTL expiry decrements WITHOUT deleting, so counts track live
+      // supports exactly while expiry stays non-retracting.
+      table->AddTypedListener([driver, retractor](const TableDelta& d) {
+        TuplePtr gone;
+        bool retract = true;
+        if (d.kind == TableDelta::Kind::kRemove) {
+          gone = d.tuple;
+          retract = d.cause != TableDelta::Cause::kExpiry;
+        } else if (d.kind == TableDelta::Kind::kReplace && d.old_tuple != nullptr &&
+                   !d.old_tuple->SameAs(*d.tuple)) {
+          gone = d.old_tuple;
+        } else {
+          return;
+        }
+        bool saved = retractor->retracting();
+        retractor->set_retracting(retract);
+        driver->Push(0, gone, nullptr);
+        retractor->set_retracting(saved);
+      });
     } else {
       // Stream event: demux -> (shared per-name dup) -> driver.
       DupElement*& dup = node_->event_dups_[event.name];
@@ -1271,137 +969,81 @@ class PlanBuilder {
     return true;
   }
 
-  // Legacy term ordering: first processable term wins, preserving source
-  // order otherwise.
-  bool OrderBodyBySource(const RuleAst& rule, std::vector<const BodyTerm*>* remaining,
-                         Chain* chain, VarEnv* env, size_t* width, std::string* err) {
+  // Orders and appends the remaining body terms. Cheap selective terms
+  // (filters, assignments, anti-joins) apply as soon as their variables
+  // are bound; positive joins are then chosen greedily by estimated
+  // fanout, so the narrowest probe runs first and intermediate results
+  // stay small. With `by_cost` false (bodies with volatile expressions)
+  // terms keep rule-text order instead: the first processable term wins,
+  // joins included.
+  bool OrderBody(const RuleAst& rule, std::vector<const BodyTerm*>* remaining, Chain* chain,
+                 VarEnv* env, size_t* width, bool by_cost, std::string* err) {
     while (!remaining->empty()) {
-      bool progressed = false;
-      for (size_t i = 0; i < remaining->size(); ++i) {
+      // First processable term in source order; under cost ordering,
+      // positive joins wait until nothing cheaper is ready.
+      int next = -1;
+      for (size_t i = 0; i < remaining->size() && next < 0; ++i) {
         const BodyTerm& term = *(*remaining)[i];
-        bool processable = false;
-        if (std::holds_alternative<PredicateAst>(term)) {
-          const PredicateAst& p = std::get<PredicateAst>(term);
-          if (p.negated) {
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env->count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else {
-            processable = true;
-          }
-        } else if (std::holds_alternative<AssignAst>(term)) {
-          processable = ExprBound(*std::get<AssignAst>(term).expr, *env);
-        } else {
-          processable = ExprBound(*std::get<ExprPtr>(term), *env);
+        bool join = std::holds_alternative<PredicateAst>(term) &&
+                    !std::get<PredicateAst>(term).negated;
+        if (join ? !by_cost : TermReady(term, *env)) {
+          next = static_cast<int>(i);
         }
-        if (!processable) {
-          continue;
-        }
-        if (!ApplyTerm(term, chain, env, width, err)) {
-          return false;
-        }
-        remaining->erase(remaining->begin() + i);
-        progressed = true;
-        break;
       }
-      if (!progressed) {
+      if (next < 0 && by_cost) {
+        next = CheapestJoin(*remaining, *env);
+      }
+      if (next < 0) {
         *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
         return false;
       }
+      if (!ApplyTerm(*(*remaining)[next], chain, env, width, err)) {
+        return false;
+      }
+      remaining->erase(remaining->begin() + next);
     }
     return true;
   }
 
-  // Cost-aware term ordering: selective cheap terms (filters, assignments,
-  // anti-joins) apply as soon as their variables are bound; positive joins
-  // are chosen greedily by estimated fanout so the narrowest probe runs
-  // first and intermediate results stay small. `force_first`, when set,
-  // overrides the FIRST join choice only (alternate-order lowering);
-  // SimulateOrder has already validated it is processable.
-  bool OrderBodyByCost(const RuleAst& rule, std::vector<const BodyTerm*>* remaining,
-                       Chain* chain, VarEnv* env, size_t* width,
-                       const PredicateAst* force_first, std::string* err) {
-    while (!remaining->empty()) {
-      // 1) Drain every currently-processable non-join term, source order.
-      bool progressed = true;
-      while (progressed) {
-        progressed = false;
-        for (size_t i = 0; i < remaining->size(); ++i) {
-          const BodyTerm& term = *(*remaining)[i];
-          bool processable = false;
-          if (std::holds_alternative<PredicateAst>(term)) {
-            const PredicateAst& p = std::get<PredicateAst>(term);
-            if (!p.negated) {
-              continue;  // positive join: cost-selected below
-            }
-            processable = true;
-            for (const ExprPtr& a : p.args) {
-              if (a->kind == ExprKind::kVar && a->name != "_" && env->count(a->name) == 0) {
-                processable = false;
-                break;
-              }
-            }
-          } else if (std::holds_alternative<AssignAst>(term)) {
-            processable = ExprBound(*std::get<AssignAst>(term).expr, *env);
-          } else {
-            processable = ExprBound(*std::get<ExprPtr>(term), *env);
-          }
-          if (!processable) {
-            continue;
-          }
-          if (!ApplyTerm(term, chain, env, width, err)) {
-            return false;
-          }
-          remaining->erase(remaining->begin() + i);
-          progressed = true;
-          break;
+  // True when a filter, assignment or anti-join can run under `env`: every
+  // variable it reads is bound.
+  bool TermReady(const BodyTerm& term, const VarEnv& env) {
+    if (std::holds_alternative<PredicateAst>(term)) {
+      for (const ExprPtr& a : std::get<PredicateAst>(term).args) {
+        if (a->kind == ExprKind::kVar && a->name != "_" && env.count(a->name) == 0) {
+          return false;
         }
       }
-      if (remaining->empty()) {
-        break;
-      }
-      // 2) Cheapest processable positive join next (ties: source order).
-      int best = -1;
-      double best_est = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < remaining->size(); ++i) {
-        const BodyTerm& term = *(*remaining)[i];
-        if (!std::holds_alternative<PredicateAst>(term)) {
-          continue;
-        }
-        const PredicateAst& p = std::get<PredicateAst>(term);
-        if (force_first != nullptr) {
-          if (&p == force_first) {
-            best = static_cast<int>(i);
-            break;
-          }
-          continue;
-        }
-        if (p.negated || !PredArgsBound(p, *env)) {
-          continue;
-        }
-        Table* table = FindTable(p.name);
-        double est = table == nullptr ? std::numeric_limits<double>::max()
-                                      : table->EstimateFanout(BoundCols(p, *env));
-        if (est < best_est) {
-          best_est = est;
-          best = static_cast<int>(i);
-        }
-      }
-      force_first = nullptr;
-      if (best < 0) {
-        *err = "rule " + rule.id + ": cannot order body terms (unbound variables)";
-        return false;
-      }
-      if (!ApplyTerm(*(*remaining)[best], chain, env, width, err)) {
-        return false;
-      }
-      remaining->erase(remaining->begin() + best);
+      return true;
     }
-    return true;
+    if (std::holds_alternative<AssignAst>(term)) {
+      return ExprBound(*std::get<AssignAst>(term).expr, env);
+    }
+    return ExprBound(*std::get<ExprPtr>(term), env);
+  }
+
+  // Index of the processable positive join with the lowest estimated
+  // fanout (ties: source order), or -1 when none can run yet.
+  int CheapestJoin(const std::vector<const BodyTerm*>& remaining, const VarEnv& env) {
+    int best = -1;
+    double best_est = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < remaining.size(); ++i) {
+      if (!std::holds_alternative<PredicateAst>(*remaining[i])) {
+        continue;
+      }
+      const PredicateAst& p = std::get<PredicateAst>(*remaining[i]);
+      if (p.negated || !PredArgsBound(p, env)) {
+        continue;
+      }
+      Table* table = FindTable(p.name);
+      double est = table == nullptr ? std::numeric_limits<double>::max()
+                                    : table->EstimateFanout(BoundCols(p, env));
+      if (est < best_est) {
+        best_est = est;
+        best = static_cast<int>(i);
+      }
+    }
+    return best;
   }
 
   bool ApplyTerm(const BodyTerm& term, Chain* chain, VarEnv* env, size_t* width,
@@ -1430,25 +1072,8 @@ class PlanBuilder {
   const ProgramAst& program_;
   P2Node* node_;
   Graph& graph_;
-  const bool semi_naive_;
-  // Support counting (tentpole 1): on by default under semi-naive; off
-  // reproduces the PR 6 remove-chain gating bit-for-bit.
-  const bool counting_;
-  // Adaptive replanning (tentpole 2): lower alternate join orders when the
-  // node is configured with a replan interval.
-  const bool replan_;
-  // Explain indentation: deepened to six spaces inside alt-plan branches.
-  std::string pad_ = "    ";
-  // When non-null, AppendTableTerm records each join's probe into this
-  // variant (alternate-order lowering).
-  ReplanVariant* probe_sink_ = nullptr;
-  // Mode elements built by the CURRENT rule variant's chains; WireEvent
-  // moves them into the event listeners' closures.
-  std::vector<SupportCountElement*> counters_current_;
-  std::vector<CountedRetractElement*> retractors_current_;
-  // At most this many fully lowered join orders per chain: the greedy
-  // static order plus up to two forced-first alternates.
-  static constexpr int kMaxOrderVariants = 3;
+  // Explain indentation for the body lines under each rule.
+  const std::string pad_ = "    ";
   // Tables in a rule-dependency cycle: their rules fall back to TTL decay
   // instead of counted retraction (non-recursive strata only).
   std::set<std::string> recursive_tables_;

@@ -9,19 +9,19 @@
 // delete, or the node's output router which sends remote tuples over the
 // network and loops local ones back into the input queue.
 //
-// In the default semi-naive mode (kSemiNaive), a rule whose body is all
-// materialized predicates is rewritten into per-delta variants: one
-// insert-triggered chain per body predicate (any table gaining a row can
-// complete a join, so each gets its own trigger), plus — when the head is
-// itself materialized — one remove-triggered chain per body predicate that
-// re-derives the head tuple from the retracted row and deletes it, so
+// Evaluation is semi-naive. A rule whose body is all materialized
+// predicates is rewritten into per-delta variants: one insert-triggered
+// chain per body predicate (any table gaining a row can complete a join,
+// so each gets its own trigger). When the head is itself materialized and
+// outside any table-dependency cycle, the rule is support-counted: each
+// fresh derivation increments a per-head-row count, and one
+// remove-triggered chain per body predicate re-derives the head tuple from
+// a retracted row and decrements it, deleting the head row at zero — so
 // retractions propagate instead of waiting for soft-state expiry. Join
 // order within each chain is chosen greedily by estimated fanout
 // (Table::EstimateFanout) rather than rule-text order, and every probed
-// index is declared at plan time. The legacy mode (kLegacy) reproduces the
-// old planner exactly — single trigger on the first table predicate,
-// text-order joins, full-scan table aggregates — and exists so the
-// differential tests can compare the two evaluators.
+// index is declared at plan time. Table aggregates are maintained
+// incrementally from the table's typed delta stream.
 #ifndef P2_OVERLOG_PLANNER_H_
 #define P2_OVERLOG_PLANNER_H_
 
@@ -33,17 +33,10 @@ namespace p2 {
 
 class P2Node;
 
-// How rules are compiled into dataflow chains. See file comment.
-enum class PlannerMode {
-  kSemiNaive,  // per-delta variants, cost-ordered joins, incremental aggs
-  kLegacy,     // single trigger, text-order joins, full-scan aggs
-};
-
 class Planner {
  public:
-  // Installs `program` into `node` (mode taken from the node's config). On
-  // failure returns false with a diagnostic in *err; the node is then in
-  // an unusable state.
+  // Installs `program` into `node`. On failure returns false with a
+  // diagnostic in *err; the node is then in an unusable state.
   static bool Install(const ProgramAst& program, P2Node* node, std::string* err);
 };
 

@@ -33,10 +33,6 @@ P2Node::P2Node(P2NodeConfig config)
       executor_(config.executor),
       transport_(config.transport),
       rng_(config.seed),
-      planner_mode_(config.planner_mode),
-      counting_(config.counting),
-      replan_interval_s_(config.replan_interval_s),
-      replan_delta_threshold_(config.replan_delta_threshold),
       metrics_(config.metrics),
       watches_(config.watches),
       sysstats_period_s_(config.sysstats_period_s) {
@@ -49,7 +45,6 @@ P2Node::P2Node(P2NodeConfig config)
     obs_tuples_from_net_ = metrics_->GetCounter(obs_lane_, "p2_node_tuples_from_net_total");
     obs_loopbacks_ = metrics_->GetCounter(obs_lane_, "p2_node_local_loopbacks_total");
     obs_bad_packets_ = metrics_->GetCounter(obs_lane_, "p2_node_bad_packets_total");
-    replan_.BindObs(metrics_, obs_lane_);
   }
   input_queue_ = graph_.Add<QueueElement>("input_queue", config.input_queue_capacity);
   driver_ = graph_.Add<TimedPullPush>("driver", executor_, 0.0);
@@ -109,9 +104,6 @@ void P2Node::Start() {
   if (sysstats_period_s_ > 0) {
     RefreshSysstats();
   }
-  if (replan_interval_s_ > 0 && replan_.entries() > 0) {
-    replan_timer_ = executor_->ScheduleAfter(replan_interval_s_, [this]() { ReplanTick(); });
-  }
 }
 
 void P2Node::Stop() {
@@ -126,30 +118,6 @@ void P2Node::Stop() {
     executor_->Cancel(sysstats_timer_);
     sysstats_timer_ = kInvalidTimer;
   }
-  if (replan_timer_ != kInvalidTimer) {
-    executor_->Cancel(replan_timer_);
-    replan_timer_ = kInvalidTimer;
-  }
-}
-
-void P2Node::ReplanTick() {
-  replan_timer_ = kInvalidTimer;
-  if (!started_) {
-    return;
-  }
-  // Only re-cost when the tables actually moved since the last pass —
-  // DistinctKeys polling is O(1) per probe, but a quiet node shouldn't pay
-  // even that.
-  uint64_t total = 0;
-  for (const auto& [name, table] : tables_) {
-    (void)name;
-    total += table->delta_seq();
-  }
-  if (total - replan_last_deltas_ >= replan_delta_threshold_) {
-    replan_last_deltas_ = total;
-    replan_.Evaluate();
-  }
-  replan_timer_ = executor_->ScheduleAfter(replan_interval_s_, [this]() { ReplanTick(); });
 }
 
 const SupportCounts* P2Node::SupportCountsFor(const std::string& table) const {

@@ -16,8 +16,6 @@
 #include "src/dataflow/graph.h"
 #include "src/dataflow/rel_elements.h"
 #include "src/net/transport.h"
-#include "src/overlog/planner.h"
-#include "src/overlog/replan.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/random.h"
 #include "src/table/table.h"
@@ -30,21 +28,6 @@ struct P2NodeConfig {
   Transport* transport = nullptr;   // required
   uint64_t seed = 1;                // per-node RNG stream
   size_t input_queue_capacity = 8192;
-  // Rule compilation strategy; kLegacy reproduces the pre-semi-naive
-  // planner for differential testing.
-  PlannerMode planner_mode = PlannerMode::kSemiNaive;
-  // Support-counted retractions (semi-naive mode only): every pure-table
-  // rule gets a remove chain, with per-head-row derivation counts deciding
-  // when the head is really gone. Off reproduces the PR 6 planner exactly
-  // (remove chains only for provably single-derivation rules).
-  bool counting = true;
-  // When > 0, poll live table statistics at this virtual-time period and
-  // swap pre-compiled alternate join orders when the cost order inverts.
-  // 0 (default) disables the loop; plans stay frozen at install time.
-  double replan_interval_s = 0;
-  // Minimum table content deltas (summed over the node's tables) between
-  // replan passes; quiet nodes skip the re-costing entirely.
-  uint64_t replan_delta_threshold = 64;
   // Metrics registry; null disables all instrumentation (the planner then
   // builds exactly the uninstrumented graph). Lane = executor shard index.
   obs::Registry* metrics = nullptr;
@@ -106,14 +89,10 @@ class P2Node {
 
   // Human-readable dump of every rule's compiled plan — trigger deltas,
   // join order with fanout estimates, probed indices, head routing.
-  // Deterministic for a given program and planner mode (`p2run --explain`
-  // and the golden-plan tests rely on this).
+  // Deterministic for a given program (`p2run --explain` and the
+  // golden-plan tests rely on this).
   const std::string& PlanExplain() const { return plan_explain_; }
 
-  // Adaptive replan introspection: total join-order swaps so far, and the
-  // number of chains carrying alternate variants.
-  uint64_t ReplanSwaps() const { return replan_.swaps(); }
-  size_t ReplanEntries() const { return replan_.entries(); }
   // Support-count store for a counted head table (null when none). Tests
   // use this to assert counts track live supports.
   const SupportCounts* SupportCountsFor(const std::string& table) const;
@@ -138,9 +117,6 @@ class P2Node {
   void OnPacket(const std::string& from, const std::vector<uint8_t>& bytes);
   // Upserts this node's rows in the sysstats table (virtual-time periodic).
   void RefreshSysstats();
-  // One adaptive replan pass: re-cost variants when enough deltas accrued,
-  // then re-arm the timer.
-  void ReplanTick();
 
   class RouteOutElement;
 
@@ -149,10 +125,6 @@ class P2Node {
   Transport* transport_;
   Rng rng_;
   NodeStats stats_;
-  PlannerMode planner_mode_ = PlannerMode::kSemiNaive;
-  bool counting_ = true;
-  double replan_interval_s_ = 0;
-  uint64_t replan_delta_threshold_ = 64;
   std::string plan_explain_;
 
   Graph graph_;
@@ -169,11 +141,8 @@ class P2Node {
   std::vector<PeriodicSource*> periodics_;
   std::unordered_map<std::string, DupElement*> event_dups_;
   std::vector<std::pair<std::string, RuleDriver*>> rule_drivers_;
-  // Derivation counts per counted head table (counting planner).
+  // Derivation counts per counted head table.
   std::unordered_map<Table*, std::unique_ptr<SupportCounts>> support_counts_;
-  ReplanManager replan_;
-  TimerId replan_timer_ = kInvalidTimer;
-  uint64_t replan_last_deltas_ = 0;
   bool started_ = false;
   bool installed_ = false;
 

@@ -83,7 +83,6 @@ void Table::EraseRow(RowList::iterator it, bool notify_removal, TableDelta::Caus
   IndexErase(it);
   primary_.erase(PrimaryKeyOf(*gone));
   rows_.erase(it);
-  ++delta_seq_;
   if (obs_rows_ != nullptr) {
     obs_rows_->Add(-1);
     obs::Counter* by_cause = cause == TableDelta::Cause::kDelete     ? obs_deletes_
@@ -180,7 +179,6 @@ bool Table::Insert(const TuplePtr& t) {
   if (obs_inserts_ != nullptr) {
     (displaced == nullptr ? obs_inserts_ : obs_replaces_)->Inc();
   }
-  ++delta_seq_;
   ArmExpiryTimer();
   // Listeners fire on every insertion, including TTL refreshes of identical
   // rows. Refresh visibility matters: e.g. Chord's ping-response rule
@@ -241,40 +239,6 @@ size_t Table::DistinctKeys(const std::vector<size_t>& cols) const {
   return 0;
 }
 
-int Table::IndexHandle(const std::vector<size_t>& cols) const {
-  for (size_t i = 0; i < secondary_.size(); ++i) {
-    if (secondary_[i].cols == cols) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-size_t Table::DistinctKeysAt(int handle) const {
-  if (handle < 0 || static_cast<size_t>(handle) >= secondary_.size()) {
-    return 0;
-  }
-  return secondary_[static_cast<size_t>(handle)].distinct;
-}
-
-double Table::LiveFanoutAt(int handle, bool pk_covered, double static_est) const {
-  if (pk_covered) {
-    return 1.0;
-  }
-  if (rows_.empty()) {
-    return static_est;
-  }
-  if (handle < 0) {
-    // Unbound probe: a full scan costs every live row.
-    return std::max(static_est, static_cast<double>(rows_.size()));
-  }
-  size_t distinct = DistinctKeysAt(handle);
-  if (distinct == 0) {
-    return static_est;
-  }
-  return static_cast<double>(rows_.size()) / static_cast<double>(distinct);
-}
-
 bool Table::PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const {
   // Bound columns covering the primary key pin at most one row. An empty
   // key_positions means "whole tuple is the key": covered only when every
@@ -290,18 +254,6 @@ bool Table::PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const {
     }
   }
   return true;
-}
-
-double Table::EstimateFanoutStatic(const std::vector<size_t>& bound_cols) const {
-  if (PrimaryKeyCovered(bound_cols)) {
-    return 1.0;
-  }
-  // Static prior from the spec (deterministic at plan time).
-  double cap = static_cast<double>(std::min(spec_.max_size, kFanoutCap));
-  if (bound_cols.empty()) {
-    return cap;
-  }
-  return std::sqrt(cap);
 }
 
 double Table::EstimateFanout(const std::vector<size_t>& bound_cols) const {

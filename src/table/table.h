@@ -80,15 +80,13 @@ class Table {
   // identical row (refreshes must propagate so that downstream soft state
   // derived from this table is refreshed too).
   using DeltaFn = std::function<void(const TuplePtr&)>;
-  // Listener invoked after a row leaves the table for good: explicit
-  // delete, TTL expiry, or FIFO eviction — but NOT replacement by key
-  // (that is an update, reported through the insert delta). Table
-  // aggregates need this to shrink (e.g. Chord's succCount must drop after
-  // successor eviction or the eviction rule never re-fires).
-  using RemoveFn = std::function<void(const TuplePtr&)>;
   // Listener on the typed delta stream (inserts, replacements with the old
   // row, removals). The planner's semi-naive chains and the incremental
-  // aggregate watchers subscribe here.
+  // aggregate watchers subscribe here. A removal means the row left for
+  // good — explicit delete, TTL expiry or FIFO eviction — never a
+  // replacement by key (an update, reported as kReplace). Table aggregates
+  // need removals to shrink (e.g. Chord's succCount must drop after
+  // successor eviction or the eviction rule never re-fires).
   using TypedDeltaFn = std::function<void(const TableDelta&)>;
 
   Table(TableSpec spec, Executor* executor);
@@ -127,7 +125,7 @@ class Table {
 
   size_t size();
 
-  // All listeners — insert-only, remove-only, and typed — share ONE
+  // All listeners — insert-only and typed — share ONE
   // registration-ordered list, so relative firing order between (say) an
   // aggregate watcher and a rule driver is exactly attach order. Plans
   // depend on this: a watcher attached before a rule sees each delta
@@ -142,14 +140,6 @@ class Table {
       }
     });
   }
-  // Registers a removal listener (deletes, expiry, eviction).
-  void AddRemoveListener(RemoveFn fn) {
-    typed_listeners_.push_back([fn = std::move(fn)](const TableDelta& d) {
-      if (d.kind == TableDelta::Kind::kRemove) {
-        fn(d.tuple);
-      }
-    });
-  }
   // Registers a typed delta listener (insert / replace-with-old / remove).
   void AddTypedListener(TypedDeltaFn fn) { typed_listeners_.push_back(std::move(fn)); }
 
@@ -157,24 +147,6 @@ class Table {
 
   // Live row count without purging (const; planner-safe).
   size_t row_count() const { return rows_.size(); }
-  // Monotonic count of content deltas (inserts, replaces, removals) this
-  // table has emitted. The adaptive replan loop polls it to decide whether
-  // enough has changed since the last pass to be worth re-costing joins.
-  uint64_t delta_seq() const { return delta_seq_; }
-  // Distinct keys currently held by the index over `cols`, or 0 when no
-  // such index exists. Maintained incrementally per index (bucket
-  // creation/destruction), so polling is O(#indices), not O(rows).
-  size_t DistinctKeys(const std::vector<size_t>& cols) const;
-  // Stable handle for the index over `cols` (-1 when absent). Indices are
-  // only ever appended, so a handle resolved at plan time stays valid; the
-  // replan loop uses it to poll DistinctKeysAt without comparing column
-  // sets on every pass.
-  int IndexHandle(const std::vector<size_t>& cols) const;
-  size_t DistinctKeysAt(int handle) const;
-  // Live mean bucket size for the index at `handle`, falling back to
-  // `static_est` when the table is empty or the handle is invalid.
-  // `pk_covered` probes pin one row regardless of statistics.
-  double LiveFanoutAt(int handle, bool pk_covered, double static_est) const;
   // Estimated number of rows matching an equality probe over `bound_cols`.
   // Uses live index cardinality when available; otherwise a static prior
   // from the table spec, so plan-time estimates (tables usually empty at
@@ -184,12 +156,6 @@ class Table {
   //   - no bound columns (full scan)            -> capacity,
   // where capacity = min(max_size, kFanoutCap).
   double EstimateFanout(const std::vector<size_t>& bound_cols) const;
-  // The prior-only estimate: never consults live index statistics. This is
-  // the install-time column `--explain` prints as est=; EstimateFanout is
-  // the live-refined value (live=). Identical on empty tables.
-  double EstimateFanoutStatic(const std::vector<size_t>& bound_cols) const;
-  // True iff an equality probe over `bound_cols` covers the primary key.
-  bool PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const;
 
   // Cap on the static capacity prior (unbounded tables assume this many
   // rows for costing purposes).
@@ -221,6 +187,12 @@ class Table {
       std::unordered_map<std::vector<Value>, RowList::iterator, ValueVecHash, ValueVecEq>;
 
   std::vector<Value> PrimaryKeyOf(const Tuple& t) const;
+  // True iff an equality probe over `bound_cols` covers the primary key.
+  bool PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const;
+  // Distinct keys currently held by the index over `cols`, or 0 when no
+  // such index exists. Maintained incrementally per index (bucket
+  // creation/destruction), so polling is O(#indices), not O(rows).
+  size_t DistinctKeys(const std::vector<size_t>& cols) const;
   void EraseRow(RowList::iterator it, bool notify_removal, TableDelta::Cause cause);
   void IndexInsert(RowList::iterator it);
   void IndexErase(RowList::iterator it);
@@ -253,7 +225,6 @@ class Table {
   };
   std::vector<ScanStat> scan_stats_;
   std::vector<TypedDeltaFn> typed_listeners_;
-  uint64_t delta_seq_ = 0;
   TimerId expiry_timer_ = kInvalidTimer;
   double expiry_armed_at_ = std::numeric_limits<double>::infinity();
 

@@ -58,6 +58,48 @@ TEST(FaultParsers, AcceptAndReject) {
   EXPECT_FALSE(ParseSlowNodesSpec("0.25:0.5", &frac, &factor));
 }
 
+// Every numeric p2run flag goes through these parsers. Each rejected value
+// below was once accepted: non-finite durations and rates wedged the run
+// until a timeout killed it, and trailing garbage was silently dropped.
+TEST(FaultParsers, RejectMalformedAndNonFiniteNumbers) {
+  double d = 0.25;
+  EXPECT_TRUE(ParseNonNegDouble("0", &d));
+  EXPECT_DOUBLE_EQ(d, 0);
+  EXPECT_TRUE(ParseNonNegDouble("1e3", &d));
+  EXPECT_DOUBLE_EQ(d, 1000);
+  // --duration inf, --churn nan, --loss nan, --loss abc, --corrupt nan.
+  for (const char* bad : {"inf", "nan", "abc", "-inf", "1e999", "0.5x", "", " 1", "-0.5"}) {
+    EXPECT_FALSE(ParseNonNegDouble(bad, &d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 1000);  // untouched on failure
+
+  uint64_t n = 0;
+  EXPECT_TRUE(ParseNonNegInt("8", 100, &n));
+  EXPECT_EQ(n, 8u);
+  EXPECT_TRUE(ParseNonNegInt("18446744073709551615", UINT64_MAX, &n));
+  EXPECT_EQ(n, UINT64_MAX);
+  EXPECT_FALSE(ParseNonNegInt("18446744073709551616", UINT64_MAX, &n));
+  // --nodes 8x, --seed abc.
+  for (const char* bad : {"8x", "abc", "", "-1", "+1", " 1", "1.0", "101"}) {
+    EXPECT_FALSE(ParseNonNegInt(bad, 100, &n)) << bad;
+  }
+  EXPECT_EQ(n, UINT64_MAX);
+
+  PartitionSpec part;
+  EXPECT_FALSE(ParsePartitionSpec("10:inf:0", &part));
+  EXPECT_FALSE(ParsePartitionSpec("nan:30:0", &part));
+  EXPECT_FALSE(ParsePartitionSpec("10:30:0x", &part));
+  double frac = 0, factor = 0;
+  EXPECT_FALSE(ParseSlowNodesSpec("0.5:inf", &frac, &factor));
+  EXPECT_FALSE(ParseSlowNodesSpec("nan:2", &frac, &factor));
+  LatencySpikeSpec spike;
+  EXPECT_FALSE(ParseLatencySpikeSpec("10:5:0:inf", &spike));
+  EXPECT_FALSE(ParseLatencySpikeSpec("10:inf:0:2", &spike));
+  AsymLossRule rule;
+  EXPECT_FALSE(ParseAsymLossSpec("0:1:nan", &rule));
+  EXPECT_FALSE(ParseAsymLossSpec("0:+1:0.5", &rule));
+}
+
 TEST(FaultInjectorTest, PerSlotSelectionsAreDeterministicHashes) {
   FaultPlan plan;
   plan.slow_fraction = 0.5;

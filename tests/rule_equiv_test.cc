@@ -1,19 +1,25 @@
-// Randomized differential test: semi-naive vs legacy planner.
+// Randomized differential test: the planner's incremental state against a
+// from-scratch reference evaluation (tests/reference_eval.h).
 //
-// Generates random OverLog programs in a fragment where both planners are
-// specified to produce identical results — deterministic expressions only,
-// pure-table rules restricted to single-predicate bodies (so the legacy
-// single trigger sees every delta the semi-naive variants see), DAG table
-// dependencies, and no deletions on tables that support derived heads
-// (remove chains then never fire, and the legacy planner has no remove
-// path to compare against). Within that fragment the semi-naive planner's
-// cost-ordered joins, delta variants and incremental aggregates must be
-// OBSERVABLY EQUIVALENT to the legacy source-order, full-scan plans: same
-// final contents of every table and the same multiset of emitted stream
-// heads, for the same driven insert/inject sequence.
+// Generates random OverLog programs — deterministic expressions only, DAG
+// table dependencies — and drives one node with a random interleaving of
+// base-table operations and stream events. At every quiescent point each
+// pure-table head the node maintains must equal the least fixpoint the
+// reference evaluator derives from the node's current base rows, and every
+// stream event must emit exactly the heads the reference fires for it
+// against that fixpoint. Two corpora:
 //
-// Every program also round-trips through both explain dumps, pinning that
-// mode selection actually reaches the plan.
+//   - insert-only: multi-join stream rules, a single-predicate pure-table
+//     chain, and a min/max table aggregate;
+//   - retracting: the same stream rules plus multi-join and
+//     projected-support pure-table rules (one head row standing for many
+//     derivations, including a projection through a counted intermediate
+//     table), driven with base-table deletes, FIFO evictions (small
+//     max_size) and replacements by key. Aggregate heads stay on the
+//     insert-only corpus: an emptied min/max group's row is deliberately
+//     left to soft-state expiry rather than retracted.
+//
+// Recursive programs are out of scope: their heads fall back to TTL decay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,27 +30,41 @@
 
 #include "src/p2/node.h"
 #include "src/sim/network.h"
+#include "tests/reference_eval.h"
 
 namespace p2 {
 namespace {
 
 struct GenTable {
   std::string name;
-  size_t arity;  // including the leading address field
+  size_t arity;     // including the leading address field
+  size_t key_cols;  // leading data columns forming the primary key
 };
 
 struct GenProgram {
   std::string text;
-  std::vector<GenTable> bases;     // driven with inserts
+  std::vector<GenTable> bases;     // driven with inserts (and deletes)
   std::vector<std::string> heads;  // stream heads to subscribe to
+  std::vector<std::string> derived;  // pure-table heads to compare
 };
 
 std::string Var(size_t i) { return std::string(1, static_cast<char>('A' + i)); }
 
+// Body predicate over base `t`: location X, join column A, then `cols`
+// (padded with "_" to the table's arity).
+std::string BaseTerm(const GenTable& t, const std::vector<std::string>& cols) {
+  std::string s = t.name + "@X(X, A";
+  for (size_t k = 2; k < t.arity; ++k) {
+    s += ", " + (k - 2 < cols.size() ? cols[k - 2] : std::string("_"));
+  }
+  return s + ")";
+}
+
 // Builds one random program: 2-3 base tables, 1-2 stream rules with
 // multi-table join bodies (where cost ordering can actually reorder), one
-// single-predicate pure-table chain, and one table aggregate.
-GenProgram Generate(std::mt19937* rng) {
+// single-predicate pure-table chain, and — insert-only — one table
+// aggregate, or — retracting — multi-join and projected-support rules.
+GenProgram Generate(std::mt19937* rng, bool retracting) {
   auto pick = [rng](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(*rng);
   };
@@ -56,11 +76,19 @@ GenProgram Generate(std::mt19937* rng) {
     GenTable t;
     t.name = "b" + std::to_string(i);
     t.arity = static_cast<size_t>(pick(3, 4));
+    // Insert-only: the whole row is the key, so an insert never displaces
+    // a different row. Retracting: the tables are small, so inserts evict
+    // FIFO, and half are keyed on the join column alone, so inserts also
+    // replace rows with different content.
+    t.key_cols = t.arity - 1;
+    int max_size = 1000;
+    if (retracting) {
+      max_size = pick(3, 6);
+      t.key_cols = pick(0, 1) == 0 ? t.arity - 1 : 1;
+    }
     p.bases.push_back(t);
-    // Whole row as key: inserts never displace, so both planners see the
-    // same multiset of rows however the drive sequence collides.
-    out << "materialize(" << t.name << ", infinity, 1000, keys(";
-    for (size_t k = 2; k <= t.arity; ++k) {
+    out << "materialize(" << t.name << ", infinity, " << max_size << ", keys(";
+    for (size_t k = 2; k < 2 + t.key_cols; ++k) {
       out << (k == 2 ? "" : ",") << k;
     }
     out << ")).\n";
@@ -84,14 +112,12 @@ GenProgram Generate(std::mt19937* rng) {
     std::vector<std::string> terms;
     for (size_t i = 0; i < use; ++i) {
       const GenTable& t = p.bases[body[i]];
-      std::ostringstream term;
-      term << t.name << "@X(X, A";  // join column: shared variable A
+      std::vector<std::string> cols;
       for (size_t k = 2; k < t.arity; ++k) {
-        term << ", " << Var(1 + var);  // B, C, ... all exported
+        cols.push_back(Var(1 + var));  // B, C, ... all exported
         ++var;
       }
-      term << ")";
-      terms.push_back(term.str());
+      terms.push_back(BaseTerm(t, cols));
     }
     for (size_t v = 0; v < 1 + var; ++v) {
       out << ", " << Var(v);
@@ -106,49 +132,87 @@ GenProgram Generate(std::mt19937* rng) {
     out << ".\n";
   }
 
-  // Pure-table chain: d0 :- b0, d1 :- d0. Single-predicate bodies keep the
-  // legacy single trigger equivalent; all vars in the head so contents
-  // match row-for-row.
+  // Pure-table chain: d0 :- b0, d1 :- d0, keyed on every data column.
   out << "materialize(d0, infinity, 1000, keys(2,3)).\n"
       << "materialize(d1, infinity, 1000, keys(2,3)).\n"
-      << "t0 d0@X(X, A, B) :- " << p.bases[0].name << "@X(X, A, B";
-  for (size_t k = 3; k < p.bases[0].arity; ++k) {
-    out << ", _";
-  }
-  out << ").\nt1 d1@X(X, B, A) :- d0@X(X, A, B), B != A.\n";
+      << "t0 d0@X(X, A, B) :- " << BaseTerm(p.bases[0], {"B"}) << ".\n"
+      << "t1 d1@X(X, B, A) :- d0@X(X, A, B), B != A.\n";
+  p.derived = {"d0", "d1"};
 
-  // Table aggregate over b1's first two data columns.
-  const char* agg = pick(0, 1) == 0 ? "min" : "max";
-  out << "materialize(agg0, infinity, 1000, keys(2)).\n"
-      << "ag agg0@X(X, A, " << agg << "<B>) :- " << p.bases[1].name << "@X(X, A, B";
-  for (size_t k = 3; k < p.bases[1].arity; ++k) {
-    out << ", _";
+  if (!retracting) {
+    // Table aggregate over b1's first two data columns.
+    const char* agg = pick(0, 1) == 0 ? "min" : "max";
+    out << "materialize(agg0, infinity, 1000, keys(2)).\n"
+        << "ag agg0@X(X, A, " << agg << "<B>) :- " << BaseTerm(p.bases[1], {"B"}) << ".\n";
+    p.derived.push_back("agg0");
+    p.text = out.str();
+    return p;
   }
-  out << ").\n";
 
+  // Multi-join with full support: two or three distinct bases joined on A,
+  // every column exported.
+  std::vector<size_t> order(p.bases.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::shuffle(order.begin(), order.end(), *rng);
+  size_t use = static_cast<size_t>(pick(2, static_cast<int>(order.size())));
+  std::vector<std::string> head_vars{"A"};
+  std::vector<std::string> terms;
+  size_t var = 0;
+  for (size_t i = 0; i < use; ++i) {
+    const GenTable& t = p.bases[order[i]];
+    std::vector<std::string> cols;
+    for (size_t k = 2; k < t.arity; ++k) {
+      cols.push_back(Var(1 + var++));
+      head_vars.push_back(cols.back());
+    }
+    terms.push_back(BaseTerm(t, cols));
+  }
+  out << "materialize(j0, infinity, 1000, keys(";
+  for (size_t k = 0; k < head_vars.size(); ++k) {
+    out << (k == 0 ? "" : ",") << k + 2;
+  }
+  out << ")).\nm0 j0@X(X";
+  for (const std::string& v : head_vars) {
+    out << ", " << v;
+  }
+  out << ") :- " << terms[0];
+  for (size_t i = 1; i < terms.size(); ++i) {
+    out << ", " << terms[i];
+  }
+  out << ".\n";
+
+  // Projected two-join: the join column A is dropped, so every A shared by
+  // a b_i row with value B and a b_j row with value C supports j1(B, C).
+  const GenTable& left = p.bases[order[0]];
+  const GenTable& right = p.bases[order[1]];
+  out << "materialize(j1, infinity, 1000, keys(2,3)).\n"
+      << "m1 j1@X(X, B, C) :- " << BaseTerm(left, {"B"}) << ", " << BaseTerm(right, {"C"})
+      << ".\n";
+
+  // Projected chain through the counted intermediate d0 (itself projected
+  // when b0 has a column t0 drops): many (A, B) pairs share one B - A.
+  out << "materialize(k0, infinity, 1000, keys(2)).\n"
+      << "c0 k0@X(X, C) :- d0@X(X, A, B), C := B - A.\n";
+  p.derived.insert(p.derived.end(), {"j0", "j1", "k0"});
   p.text = out.str();
   return p;
 }
 
-// One node running `program` under `mode`, fed the identical drive
-// sequence; returns (sorted table dump, sorted stream-head multiset).
-struct RunResult {
-  std::vector<std::string> tables;
-  std::vector<std::string> streams;
-};
-
-std::string RowKey(const Tuple& t) {
-  // Field 0 is always the node's own address; drop it so runs on different
-  // transports compare equal.
-  std::string s = t.name() + "(";
-  for (size_t i = 1; i < t.size(); ++i) {
-    s += t.field(i).ToString() + ",";
+std::string RowKey(const std::string& name, const std::vector<Value>& fields) {
+  // Field 0 is always the node's own address; drop it.
+  std::string s = name + "(";
+  for (size_t i = 1; i < fields.size(); ++i) {
+    s += fields[i].ToString() + ",";
   }
   return s + ")";
 }
 
-RunResult Drive(const GenProgram& p, PlannerMode mode, uint64_t seed,
-                bool counting = true) {
+// Drives `p` on one node with a random operation sequence and checks it
+// against the reference evaluator at every quiescent point.
+void DriveAndCompare(const GenProgram& p, uint64_t seed, bool retracting,
+                     const std::string& context) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 7);
   auto transport = net.MakeTransport("n1", 0);
@@ -156,29 +220,46 @@ RunResult Drive(const GenProgram& p, PlannerMode mode, uint64_t seed,
   c.executor = &loop;
   c.transport = transport.get();
   c.seed = 42;
-  c.planner_mode = mode;
-  c.counting = counting;
   P2Node node(c);
   std::string err;
-  EXPECT_TRUE(node.Install(p.text, &err)) << err << "\n" << p.text;
+  ASSERT_TRUE(node.Install(p.text, &err)) << err << "\n" << context;
+  ReferenceEvaluator ref;
+  ASSERT_TRUE(ref.Load(p.text, "n1", &err)) << err << "\n" << context;
 
-  RunResult result;
+  std::vector<std::string> streams;
   for (const std::string& head : p.heads) {
-    node.Subscribe(head, [&result](const TuplePtr& t) {
-      result.streams.push_back(RowKey(*t));
+    node.Subscribe(head, [&streams](const TuplePtr& t) {
+      streams.push_back(RowKey(t->name(), t->fields()));
     });
   }
   node.Start();
 
-  // Identical drive sequence for both modes: interleaved base inserts and
-  // event injections over a tiny value domain (collisions guaranteed).
+  auto reference_state = [&]() {
+    RefDatabase base;
+    for (const GenTable& t : p.bases) {
+      RefRelation& rows = base[t.name];
+      for (const TuplePtr& row : node.GetTable(t.name)->Scan()) {
+        rows.insert(row->fields());
+      }
+    }
+    return ref.Fixpoint(base);
+  };
+
+  // Interleaved base inserts, deletes and event injections over a tiny
+  // value domain (collisions guaranteed).
   std::mt19937 drive(static_cast<unsigned>(seed));
   auto pick = [&drive](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(drive);
   };
+  std::vector<std::string> expected_streams;
   for (int step = 0; step < 60; ++step) {
-    if (pick(0, 3) == 0) {
-      node.Inject(Tuple::Make("ev", {Value::Addr("n1"), Value::Int(pick(0, 5))}));
+    int op = pick(0, retracting ? 5 : 3);
+    if (op == 0) {
+      TuplePtr ev = Tuple::Make("ev", {Value::Addr("n1"), Value::Int(pick(0, 5))});
+      for (const TuplePtr& t : ref.Fire(*ev, reference_state())) {
+        expected_streams.push_back(RowKey(t->name(), t->fields()));
+      }
+      node.Inject(ev);
     } else {
       const GenTable& t = p.bases[static_cast<size_t>(pick(
           0, static_cast<int>(p.bases.size()) - 1))];
@@ -186,48 +267,70 @@ RunResult Drive(const GenProgram& p, PlannerMode mode, uint64_t seed,
       for (size_t k = 1; k < t.arity; ++k) {
         fields.push_back(Value::Int(pick(0, 5)));
       }
-      node.GetTable(t.name)->Insert(Tuple::Make(t.name, std::move(fields)));
+      Table* table = node.GetTable(t.name);
+      if (op >= 4) {
+        // Delete: usually a live row, else whatever the random key hits.
+        std::vector<TuplePtr> rows = table->Scan();
+        if (!rows.empty() && op == 4) {
+          fields = rows[static_cast<size_t>(pick(0, static_cast<int>(rows.size()) - 1))]
+                       ->fields();
+        }
+        table->DeleteByKey(
+            std::vector<Value>(fields.begin() + 1, fields.begin() + 1 + t.key_cols));
+      } else {
+        table->Insert(Tuple::Make(t.name, std::move(fields)));
+      }
     }
     loop.RunUntil(loop.Now() + 0.01);
+
+    RefDatabase want = reference_state();
+    for (const std::string& name : p.derived) {
+      std::vector<std::string> got_rows;
+      for (const TuplePtr& row : node.GetTable(name)->Scan()) {
+        got_rows.push_back(RowKey(name, row->fields()));
+      }
+      std::vector<std::string> want_rows;
+      for (const std::vector<Value>& row : want[name]) {
+        want_rows.push_back(RowKey(name, row));
+      }
+      std::sort(got_rows.begin(), got_rows.end());
+      std::sort(want_rows.begin(), want_rows.end());
+      ASSERT_EQ(got_rows, want_rows) << "table " << name << " after step " << step << "\n"
+                                     << context;
+    }
   }
   loop.RunUntil(loop.Now() + 1.0);
-
-  for (const char* name : {"d0", "d1", "agg0"}) {
-    for (const TuplePtr& row : node.GetTable(name)->Scan()) {
-      result.tables.push_back(RowKey(*row));
-    }
-  }
-  for (const GenTable& t : p.bases) {
-    for (const TuplePtr& row : node.GetTable(t.name)->Scan()) {
-      result.tables.push_back(RowKey(*row));
-    }
-  }
-  std::sort(result.tables.begin(), result.tables.end());
-  std::sort(result.streams.begin(), result.streams.end());
-  return result;
+  std::sort(streams.begin(), streams.end());
+  std::sort(expected_streams.begin(), expected_streams.end());
+  EXPECT_EQ(streams, expected_streams) << context;
 }
 
-TEST(RuleEquivTest, RandomProgramsAgreeAcrossPlanners) {
-  // Three-way: legacy, semi-naive with support counting (the default), and
-  // semi-naive with counting off (the PR 6 wiring). The corpus is
-  // insert-only, where all three are specified to be equivalent.
+TEST(RuleEquivTest, RandomProgramsMatchTheReferenceEvaluator) {
+  // Insert-only corpus, every head kind including table aggregates.
   for (uint64_t case_id = 0; case_id < 25; ++case_id) {
     std::mt19937 rng(static_cast<unsigned>(1000 + case_id));
-    GenProgram p = Generate(&rng);
-    RunResult legacy = Drive(p, PlannerMode::kLegacy, case_id);
-    RunResult counting = Drive(p, PlannerMode::kSemiNaive, case_id);
-    RunResult no_counting = Drive(p, PlannerMode::kSemiNaive, case_id, /*counting=*/false);
-    EXPECT_EQ(legacy.tables, counting.tables) << "case " << case_id << "\n" << p.text;
-    EXPECT_EQ(legacy.streams, counting.streams) << "case " << case_id << "\n" << p.text;
-    EXPECT_EQ(legacy.tables, no_counting.tables) << "case " << case_id << "\n" << p.text;
-    EXPECT_EQ(legacy.streams, no_counting.streams) << "case " << case_id << "\n" << p.text;
+    GenProgram p = Generate(&rng, /*retracting=*/false);
+    DriveAndCompare(p, case_id, /*retracting=*/false,
+                    "case " + std::to_string(case_id) + "\n" + p.text);
+  }
+}
+
+TEST(RuleEquivTest, RetractionsMatchTheReferenceEvaluator) {
+  // Deletes, FIFO evictions and content-changing replacements through
+  // multi-join and projected-support rules: support counts must retract
+  // exactly what lost its last proof.
+  for (uint64_t case_id = 0; case_id < 200; ++case_id) {
+    std::mt19937 rng(static_cast<unsigned>(2000 + case_id));
+    GenProgram p = Generate(&rng, /*retracting=*/true);
+    DriveAndCompare(p, case_id, /*retracting=*/true,
+                    "retracting case " + std::to_string(case_id) + "\n" + p.text);
   }
 }
 
 // Projected-support rule h(B) :- b(A,B): the head drops A, so several b
-// rows derive the SAME h row. PR 6 refused such rules a remove chain
-// (deleting h on the first support loss would over-delete); counting keeps
-// a per-head-row derivation count instead and deletes only at zero.
+// rows derive the SAME h row. Support counting keeps a per-head-row
+// derivation count and deletes only at zero; the reference evaluator says
+// which rows must exist.
 class MultiDerivationTest : public ::testing::Test {
  protected:
   static constexpr char kProgram[] =
@@ -237,33 +340,42 @@ class MultiDerivationTest : public ::testing::Test {
 
   MultiDerivationTest() : net_(&loop_, Topology(TopologyConfig{}), 7) {
     transport_ = net_.MakeTransport("n1", 0);
-  }
-
-  std::unique_ptr<P2Node> Make(PlannerMode mode, bool counting) {
     P2NodeConfig c;
     c.executor = &loop_;
     c.transport = transport_.get();
     c.seed = 42;
-    c.planner_mode = mode;
-    c.counting = counting;
-    auto node = std::make_unique<P2Node>(c);
+    node_ = std::make_unique<P2Node>(c);
     std::string err;
-    EXPECT_TRUE(node->Install(kProgram, &err)) << err;
-    node->Start();
-    return node;
+    EXPECT_TRUE(node_->Install(kProgram, &err)) << err;
+    EXPECT_TRUE(ref_.Load(kProgram, "n1", &err)) << err;
+    node_->Start();
   }
 
-  void InsertB(P2Node* n, int64_t a, int64_t b) {
-    n->GetTable("b")->Insert(
+  void InsertB(int64_t a, int64_t b) {
+    node_->GetTable("b")->Insert(
         Tuple::Make("b", {Value::Addr("n1"), Value::Int(a), Value::Int(b)}));
   }
-  bool DeleteB(P2Node* n, int64_t a, int64_t b) {
-    return n->GetTable("b")->DeleteByKey({Value::Int(a), Value::Int(b)});
+  bool DeleteB(int64_t a, int64_t b) {
+    return node_->GetTable("b")->DeleteByKey({Value::Int(a), Value::Int(b)});
   }
-  std::vector<std::string> DumpH(P2Node* n) {
+  std::vector<std::string> DumpH() {
     std::vector<std::string> rows;
-    for (const TuplePtr& row : n->GetTable("h")->Scan()) {
-      rows.push_back(RowKey(*row));
+    for (const TuplePtr& row : node_->GetTable("h")->Scan()) {
+      rows.push_back(RowKey("h", row->fields()));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+  // h as the reference derives it from the node's current b rows.
+  std::vector<std::string> ReferenceH() {
+    RefDatabase base;
+    for (const TuplePtr& row : node_->GetTable("b")->Scan()) {
+      base["b"].insert(row->fields());
+    }
+    RefDatabase want = ref_.Fixpoint(base);
+    std::vector<std::string> rows;
+    for (const std::vector<Value>& row : want["h"]) {
+      rows.push_back(RowKey("h", row));
     }
     std::sort(rows.begin(), rows.end());
     return rows;
@@ -272,119 +384,78 @@ class MultiDerivationTest : public ::testing::Test {
   SimEventLoop loop_;
   SimNetwork net_;
   std::unique_ptr<SimTransport> transport_;
+  std::unique_ptr<P2Node> node_;
+  ReferenceEvaluator ref_;
 };
 
 TEST_F(MultiDerivationTest, CountingNeverDeletesARowWithALiveSupport) {
-  auto counting = Make(PlannerMode::kSemiNaive, /*counting=*/true);
-  auto ttl_only = Make(PlannerMode::kSemiNaive, /*counting=*/false);
-  for (P2Node* n : {counting.get(), ttl_only.get()}) {
-    for (int64_t a = 0; a < 3; ++a) {
-      InsertB(n, a, 7);
-    }
+  for (int64_t a = 0; a < 3; ++a) {
+    InsertB(a, 7);
   }
   loop_.RunUntil(loop_.Now() + 0.1);
-  const SupportCounts* counts = counting->SupportCountsFor("h");
+  const SupportCounts* counts = node_->SupportCountsFor("h");
   ASSERT_NE(counts, nullptr);
   EXPECT_EQ(counts->Count(*Tuple::Make("h", {Value::Addr("n1"), Value::Int(7)})), 3u);
-  ASSERT_EQ(ttl_only->SupportCountsFor("h"), nullptr);
+  EXPECT_EQ(DumpH(), ReferenceH());
 
-  // Two of three supports retract: h(7) must survive under counting.
-  for (P2Node* n : {counting.get(), ttl_only.get()}) {
-    EXPECT_TRUE(DeleteB(n, 0, 7));
-    EXPECT_TRUE(DeleteB(n, 1, 7));
-  }
+  // Two of three supports retract: h(7) must survive.
+  EXPECT_TRUE(DeleteB(0, 7));
+  EXPECT_TRUE(DeleteB(1, 7));
   loop_.RunUntil(loop_.Now() + 0.1);
-  EXPECT_EQ(counting->GetTable("h")->size(), 1u);
+  EXPECT_EQ(node_->GetTable("h")->size(), 1u);
   EXPECT_EQ(counts->Count(*Tuple::Make("h", {Value::Addr("n1"), Value::Int(7)})), 1u);
+  EXPECT_EQ(DumpH(), ReferenceH());
 
-  // Last support retracts: counting deletes the head; the TTL-only node
-  // (PR 6 gating: projected supports get NO remove chain) keeps it until
-  // soft-state expiry — which never comes at infinite lifetime.
-  for (P2Node* n : {counting.get(), ttl_only.get()}) {
-    EXPECT_TRUE(DeleteB(n, 2, 7));
-  }
+  // Last support retracts: the head goes with it.
+  EXPECT_TRUE(DeleteB(2, 7));
   loop_.RunUntil(loop_.Now() + 0.1);
-  EXPECT_EQ(counting->GetTable("h")->size(), 0u);
-  EXPECT_EQ(ttl_only->GetTable("h")->size(), 1u);
+  EXPECT_EQ(node_->GetTable("h")->size(), 0u);
+  EXPECT_EQ(DumpH(), ReferenceH());
 }
 
 TEST_F(MultiDerivationTest, FinalStatesAgreeWhenEverySurvivingHeadHasSupport) {
-  // Retractions mid-run, then one support re-inserted per surviving head
-  // value: every planner mode must converge to the same final h table
-  // (counting deleted-and-rederived, the others just kept deriving).
-  auto drive = [&](P2Node* n) {
-    for (int64_t b = 0; b < 3; ++b) {
-      for (int64_t a = 0; a < 4; ++a) {
-        InsertB(n, a, b);
-      }
-    }
-    loop_.RunUntil(loop_.Now() + 0.05);
+  // Retractions mid-run, then one support re-inserted per head value: the
+  // counted table must end where the reference fixpoint does.
+  for (int64_t b = 0; b < 3; ++b) {
     for (int64_t a = 0; a < 4; ++a) {
-      DeleteB(n, a, 0);  // all supports of h(0)
+      InsertB(a, b);
     }
-    DeleteB(n, 0, 1);  // some supports of h(1)
-    DeleteB(n, 1, 1);
-    loop_.RunUntil(loop_.Now() + 0.05);
-    for (int64_t b = 0; b < 3; ++b) {
-      InsertB(n, 9, b);  // fresh support for every head value
-    }
-    loop_.RunUntil(loop_.Now() + 0.05);
-  };
-  auto legacy = Make(PlannerMode::kLegacy, true);
-  auto counting = Make(PlannerMode::kSemiNaive, true);
-  auto ttl_only = Make(PlannerMode::kSemiNaive, false);
-  drive(legacy.get());
-  drive(counting.get());
-  drive(ttl_only.get());
-  EXPECT_EQ(DumpH(legacy.get()), DumpH(counting.get()));
-  EXPECT_EQ(DumpH(legacy.get()), DumpH(ttl_only.get()));
-  EXPECT_EQ(DumpH(counting.get()).size(), 3u);
+  }
+  loop_.RunUntil(loop_.Now() + 0.05);
+  for (int64_t a = 0; a < 4; ++a) {
+    DeleteB(a, 0);  // all supports of h(0)
+  }
+  DeleteB(0, 1);  // some supports of h(1)
+  DeleteB(1, 1);
+  loop_.RunUntil(loop_.Now() + 0.05);
+  EXPECT_EQ(DumpH(), ReferenceH());
+  for (int64_t b = 0; b < 3; ++b) {
+    InsertB(9, b);  // fresh support for every head value
+  }
+  loop_.RunUntil(loop_.Now() + 0.05);
+  EXPECT_EQ(DumpH(), ReferenceH());
+  EXPECT_EQ(DumpH().size(), 3u);
 }
 
 TEST(RuleEquivTest, ModeReachesThePlan) {
   std::mt19937 rng(1);
-  GenProgram p = Generate(&rng);
+  GenProgram p = Generate(&rng, /*retracting=*/false);
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 7);
   auto transport = net.MakeTransport("n1", 0);
-  for (PlannerMode mode : {PlannerMode::kSemiNaive, PlannerMode::kLegacy}) {
-    P2NodeConfig c;
-    c.executor = &loop;
-    c.transport = transport.get();
-    c.planner_mode = mode;
-    P2Node node(c);
-    std::string err;
-    ASSERT_TRUE(node.Install(p.text, &err)) << err;
-    const std::string& dump = node.PlanExplain();
-    if (mode == PlannerMode::kSemiNaive) {
-      EXPECT_NE(dump.find("plan mode=semi-naive counting=on"), std::string::npos);
-      EXPECT_NE(dump.find("delta-insert"), std::string::npos);
-      EXPECT_NE(dump.find("(incremental)"), std::string::npos);
-      // Counting reaches the chains: counted heads route through the
-      // support counter and retract through the counted path.
-      EXPECT_NE(dump.find("-> count+route"), std::string::npos);
-      EXPECT_NE(dump.find("-> retract-count (local)"), std::string::npos);
-    } else {
-      EXPECT_NE(dump.find("plan mode=legacy"), std::string::npos);
-      // Single trigger per rule: no "+pred" delta variants, no remove chains.
-      EXPECT_EQ(dump.find("rule t1+"), std::string::npos);
-      EXPECT_EQ(dump.find("delta-remove"), std::string::npos);
-      EXPECT_NE(dump.find("(full-scan)"), std::string::npos);
-    }
-  }
-  // counting=off keeps the PR 6 wiring: no counted chains anywhere.
   P2NodeConfig c;
   c.executor = &loop;
   c.transport = transport.get();
-  c.planner_mode = PlannerMode::kSemiNaive;
-  c.counting = false;
   P2Node node(c);
   std::string err;
   ASSERT_TRUE(node.Install(p.text, &err)) << err;
   const std::string& dump = node.PlanExplain();
-  EXPECT_NE(dump.find("plan mode=semi-naive counting=off"), std::string::npos);
-  EXPECT_EQ(dump.find("count+route"), std::string::npos);
-  EXPECT_EQ(dump.find("retract-count"), std::string::npos);
+  EXPECT_NE(dump.find("delta-insert"), std::string::npos);
+  EXPECT_NE(dump.find("(incremental)"), std::string::npos);
+  // Counting reaches the chains: counted heads route through the support
+  // counter and retract through the counted path.
+  EXPECT_NE(dump.find("-> count+route"), std::string::npos);
+  EXPECT_NE(dump.find("-> retract-count (local)"), std::string::npos);
 }
 
 }  // namespace

@@ -35,6 +35,7 @@ TEST(ScenarioSmoke, ChordSimLookupsConverge) {
   EXPECT_TRUE(report.converged) << report.detail;
   EXPECT_EQ(report.lookups_completed, report.lookups_issued);
   EXPECT_GE(report.ring_consistency, 0.9);
+  EXPECT_EQ(report.sim_events, 95539u);
 }
 
 TEST(ScenarioSmoke, ChordSimChurnStaysAvailable) {
@@ -59,6 +60,7 @@ TEST(ScenarioSmoke, GossipSimMembershipConverges) {
   ScenarioReport report = RunScenario(cfg);
   EXPECT_TRUE(report.converged) << report.detail;
   EXPECT_DOUBLE_EQ(report.mean_view_size, 10.0);
+  EXPECT_EQ(report.sim_events, 26847u);
 }
 
 TEST(ScenarioSmoke, NaradaSimMeshConverges) {
@@ -69,6 +71,7 @@ TEST(ScenarioSmoke, NaradaSimMeshConverges) {
   cfg.seed = 5;
   ScenarioReport report = RunScenario(cfg);
   EXPECT_TRUE(report.converged) << report.detail;
+  EXPECT_EQ(report.sim_events, 11338u);
 }
 
 TEST(ScenarioSmoke, PathVectorSimRoutesConverge) {
@@ -80,6 +83,7 @@ TEST(ScenarioSmoke, PathVectorSimRoutesConverge) {
   ScenarioReport report = RunScenario(cfg);
   EXPECT_TRUE(report.converged) << report.detail;
   EXPECT_DOUBLE_EQ(report.mean_view_size, 7.0);
+  EXPECT_EQ(report.sim_events, 2264u);
 }
 
 TEST(ScenarioSmoke, DeterministicAcrossRuns) {

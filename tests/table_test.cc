@@ -152,7 +152,9 @@ TEST_F(TableTest, ExpiryTimerFiresRemovalListenersWithoutTouches) {
   // the notification to shrink.
   Table t(Spec(5.0, 100), &loop_);
   int removed = 0;
-  t.AddRemoveListener([&](const TuplePtr&) { ++removed; });
+  t.AddTypedListener([&](const TableDelta& d) {
+    removed += d.kind == TableDelta::Kind::kRemove ? 1 : 0;
+  });
   t.Insert(Row("t", 1, 1));
   t.Insert(Row("t", 2, 2));
   loop_.RunUntil(4.9);
