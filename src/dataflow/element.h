@@ -4,7 +4,10 @@
 // Click modular router, except that edges carry reference-counted immutable
 // tuples rather than packets. Handoff between elements is either push
 // (source invokes destination) or pull (destination invokes source), chosen
-// at graph-construction time.
+// at graph-construction time. Inside one rule the paper's per-operator
+// elements are fused: a rule strand (RuleDriver) runs the rule's joins,
+// selections and assignments over one binding frame, so only event and
+// head tuples cross element edges.
 //
 // Signaling follows the paper's design: a push returns 1 when further
 // pushes are welcome and 0 when the destination is congested, in which case

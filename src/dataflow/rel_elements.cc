@@ -1,10 +1,10 @@
 #include "src/dataflow/rel_elements.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/obs/registry.h"
 #include "src/runtime/logging.h"
-#include "src/runtime/marshal.h"
 
 namespace p2 {
 
@@ -47,106 +47,6 @@ Value AggFinal(AggKind kind, const Value& acc, int64_t count) {
   return acc;
 }
 
-// --- FilterElement ---
-
-int FilterElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  if (!vm_.EvalBool(program_, t.get())) {
-    return 1;
-  }
-  return PushOut(0, t, cb);
-}
-
-// --- ExtendElement ---
-
-int ExtendElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  Value v = vm_.Eval(program_, t.get());
-  std::vector<Value> fields = t->fields();
-  fields.push_back(std::move(v));
-  return PushOut(0, Tuple::Make(t->schema(), std::move(fields)), cb);
-}
-
-// --- ProjectElement ---
-
-int ProjectElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  std::vector<Value> fields;
-  fields.reserve(field_programs_.size());
-  for (const PelProgram& p : field_programs_) {
-    fields.push_back(vm_.Eval(p, t.get()));
-  }
-  return PushOut(0, Tuple::Make(out_schema_, std::move(fields)), cb);
-}
-
-// --- JoinElement ---
-
-JoinElement::JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-                         std::string out_name)
-    : Element(std::move(name)),
-      vm_(env),
-      table_(table),
-      keys_(std::move(keys)),
-      out_schema_(InternSchema(out_name)) {
-  for (const JoinKey& k : keys_) {
-    k.expr.Lower();
-    key_cols_.push_back(k.table_col);
-  }
-  if (!key_cols_.empty()) {
-    table_->AddIndex(key_cols_);
-  }
-}
-
-int JoinElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  std::vector<Value> key_vals;
-  key_vals.reserve(keys_.size());
-  for (const JoinKey& k : keys_) {
-    key_vals.push_back(vm_.Eval(k.expr, t.get()));
-  }
-  std::vector<TuplePtr> matches = key_cols_.empty()
-                                      ? table_->Scan()
-                                      : table_->LookupByCols(key_cols_, key_vals);
-  int signal = 1;
-  for (const TuplePtr& row : matches) {
-    std::vector<Value> fields;
-    fields.reserve(t->size() + row->size());
-    fields.insert(fields.end(), t->fields().begin(), t->fields().end());
-    fields.insert(fields.end(), row->fields().begin(), row->fields().end());
-    signal &= PushOut(0, Tuple::Make(out_schema_, std::move(fields)), cb);
-  }
-  return signal;
-}
-
-// --- AntiJoinElement ---
-
-AntiJoinElement::AntiJoinElement(std::string name, PelEnv env, Table* table,
-                                 std::vector<JoinKey> keys)
-    : Element(std::move(name)), vm_(env), table_(table), keys_(std::move(keys)) {
-  for (const JoinKey& k : keys_) {
-    k.expr.Lower();
-    key_cols_.push_back(k.table_col);
-  }
-  if (!key_cols_.empty()) {
-    table_->AddIndex(key_cols_);
-  }
-}
-
-int AntiJoinElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  std::vector<Value> key_vals;
-  key_vals.reserve(keys_.size());
-  for (const JoinKey& k : keys_) {
-    key_vals.push_back(vm_.Eval(k.expr, t.get()));
-  }
-  bool any = key_cols_.empty() ? table_->size() > 0
-                               : !table_->LookupByCols(key_cols_, key_vals).empty();
-  if (any) {
-    return 1;
-  }
-  return PushOut(0, t, cb);
-}
-
 // --- InsertElement / DeleteElement ---
 
 int InsertElement::Push(int port, const TuplePtr& t, const Callback& cb) {
@@ -167,13 +67,20 @@ int DeleteElement::Push(int port, const TuplePtr& t, const Callback& cb) {
 
 // --- SupportCountElement / CountedRetractElement ---
 
+namespace {
+
+// Only locally addressed heads are counted: a remotely addressed tuple is
+// stored (and counted, if at all) by the node it ships to, and retraction
+// is local-only to match.
+bool AddressedTo(const Tuple& t, const std::string& addr) {
+  return t.size() > 0 && t.field(0).type() == ValueType::kAddr && t.field(0).AsAddr() == addr;
+}
+
+}  // namespace
+
 int SupportCountElement::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
-  // Only locally addressed heads are counted: a remotely addressed tuple is
-  // stored (and counted, if at all) by the node it ships to, and remove
-  // chains are local-only to match.
-  if (counting_ && t->size() > 0 && t->field(0).type() == ValueType::kAddr &&
-      t->field(0).AsAddr() == local_addr_) {
+  if (counting_ && AddressedTo(*t, local_addr_)) {
     counts_->Inc(*t);
   }
   return PushOut(0, t, cb);
@@ -182,33 +89,10 @@ int SupportCountElement::Push(int port, const TuplePtr& t, const Callback& cb) {
 int CountedRetractElement::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
   (void)cb;
-  counts_->Dec(*t, retracting_);
+  if (AddressedTo(*t, local_addr_)) {
+    counts_->Dec(*t, retracting_);
+  }
   return 1;
-}
-
-// --- DedupElement ---
-
-int DedupElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  ByteWriter w;
-  if (!MarshalTuple(*t, &w)) {
-    // No wire signature for an oversize tuple; pass it through undeduped.
-    return PushOut(0, t, cb);
-  }
-  std::string key(reinterpret_cast<const char*>(w.buffer().data()), w.size());
-  if (seen_.count(key) > 0) {
-    return 1;
-  }
-  if (seen_.size() >= max_entries_) {
-    // Ring eviction of the oldest remembered signatures.
-    seen_.erase(order_[next_evict_]);
-    order_[next_evict_] = key;
-    next_evict_ = (next_evict_ + 1) % max_entries_;
-  } else {
-    order_.push_back(key);
-  }
-  seen_.insert(std::move(key));
-  return PushOut(0, t, cb);
 }
 
 // --- AggWrapElement ---
@@ -296,6 +180,50 @@ void AggWrapElement::Flush() {
 
 // --- RuleDriver ---
 
+void RuleDriver::AddFilter(PelProgram pred) {
+  pred.Lower();  // compile to register form once, at plan time
+  Op& op = ops_.emplace_back();
+  op.kind = Op::Kind::kFilter;
+  op.expr = std::move(pred);
+}
+
+void RuleDriver::AddAssign(PelProgram value) {
+  value.Lower();
+  Op& op = ops_.emplace_back();
+  op.kind = Op::Kind::kAssign;
+  op.expr = std::move(value);
+}
+
+void RuleDriver::AddJoin(Table* table, std::vector<JoinKey> keys) {
+  AddProbe(Op::Kind::kJoin, table, std::move(keys));
+}
+
+void RuleDriver::AddAntiJoin(Table* table, std::vector<JoinKey> keys) {
+  AddProbe(Op::Kind::kAntiJoin, table, std::move(keys));
+}
+
+void RuleDriver::AddProbe(Op::Kind kind, Table* table, std::vector<JoinKey> keys) {
+  Op& op = ops_.emplace_back();
+  op.kind = kind;
+  op.table = table;
+  for (JoinKey& k : keys) {
+    k.expr.Lower();
+    op.key_cols.push_back(k.table_col);
+    op.key_exprs.push_back(std::move(k.expr));
+  }
+  if (!op.key_cols.empty()) {
+    table->AddIndex(op.key_cols);
+  }
+}
+
+void RuleDriver::SetHead(const std::string& name, std::vector<PelProgram> fields) {
+  for (const PelProgram& p : fields) {
+    p.Lower();
+  }
+  head_schema_ = InternSchema(name);
+  head_ = std::move(fields);
+}
+
 int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
   if (t->size() < min_arity_) {
@@ -316,15 +244,24 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
   if (timed) {
     t0 = std::chrono::steady_clock::now();
   }
+  if (depth_ == frames_.size()) {
+    frames_.push_back(std::make_unique<Frame>());
+  }
+  Frame& f = *frames_[depth_++];
+  if (f.slots.size() < t->size()) {
+    f.slots.resize(t->size());
+  }
+  std::copy(t->fields().begin(), t->fields().end(), f.slots.begin());
   int signal;
   if (agg_ != nullptr) {
     agg_->Begin(t);
-    PushOut(0, t, cb);
+    Run(0, f, t->size(), cb);
     agg_->Flush();
     signal = 1;
   } else {
-    signal = PushOut(0, t, cb);
+    signal = Run(0, f, t->size(), cb);
   }
+  --depth_;
   if (timed) {
     obs_fire_ns_->Observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -332,6 +269,61 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
             .count()));
   }
   return signal;
+}
+
+std::vector<TuplePtr> RuleDriver::Probe(const Op& op, Frame& f, size_t width) {
+  if (op.key_cols.empty()) {
+    return op.table->Scan();
+  }
+  f.keys.clear();
+  for (const PelProgram& k : op.key_exprs) {
+    f.keys.push_back(vm_.Eval(k, f.slots.data(), width));
+  }
+  return op.table->LookupByCols(op.key_cols, f.keys);
+}
+
+int RuleDriver::Run(size_t i, Frame& f, size_t width, const Callback& cb) {
+  for (; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
+    switch (op.kind) {
+      case Op::Kind::kFilter:
+        if (!vm_.Eval(op.expr, f.slots.data(), width).AsBool()) {
+          return 1;
+        }
+        break;
+      case Op::Kind::kAssign:
+        if (f.slots.size() == width) {
+          f.slots.emplace_back();
+        }
+        f.slots[width] = vm_.Eval(op.expr, f.slots.data(), width);
+        ++width;
+        break;
+      case Op::Kind::kAntiJoin: {
+        bool any = op.key_cols.empty() ? op.table->size() > 0 : !Probe(op, f, width).empty();
+        if (any) {
+          return 1;
+        }
+        break;
+      }
+      case Op::Kind::kJoin: {
+        int signal = 1;
+        for (const TuplePtr& row : Probe(op, f, width)) {
+          if (f.slots.size() < width + row->size()) {
+            f.slots.resize(width + row->size());
+          }
+          std::copy(row->fields().begin(), row->fields().end(), f.slots.begin() + width);
+          signal &= Run(i + 1, f, width + row->size(), cb);
+        }
+        return signal;
+      }
+    }
+  }
+  std::vector<Value> fields;
+  fields.reserve(head_.size());
+  for (const PelProgram& p : head_) {
+    fields.push_back(vm_.Eval(p, f.slots.data(), width));
+  }
+  return PushOut(0, Tuple::Make(head_schema_, std::move(fields)), cb);
 }
 
 // --- TableAggWatcher ---

@@ -1,16 +1,16 @@
-// Relational dataflow elements (§3.4): selections, projections, stream ×
-// table equijoins, aggregation, table insert/delete bridges, and duplicate
-// elimination. These are the operators the planner assembles rule chains
+// Relational dataflow elements (§3.4): rule strands (selections,
+// projections, stream × table equijoins and anti-joins run over one
+// binding frame), aggregation, support counting, and table insert/delete
+// bridges. These are the elements the planner assembles rule variants
 // from; most are parameterized by PEL programs.
 #ifndef P2_DATAFLOW_REL_ELEMENTS_H_
 #define P2_DATAFLOW_REL_ELEMENTS_H_
 
 #include <deque>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/dataflow/element.h"
@@ -20,93 +20,11 @@
 
 namespace p2 {
 
-// Drops tuples for which the PEL predicate evaluates false.
-class FilterElement : public Element {
- public:
-  FilterElement(std::string name, PelEnv env, PelProgram program)
-      : Element(std::move(name)), vm_(env), program_(std::move(program)) {
-    program_.Lower();  // compile to register form once, at plan time
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  PelProgram program_;
-};
-
-// Appends the PEL program's result as a new trailing field (implements
-// OverLog assignments, e.g. "D := S - N - 1").
-class ExtendElement : public Element {
- public:
-  ExtendElement(std::string name, PelEnv env, PelProgram program)
-      : Element(std::move(name)), vm_(env), program_(std::move(program)) {
-    program_.Lower();
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  PelProgram program_;
-};
-
-// Builds the output tuple from one PEL program per field.
-class ProjectElement : public Element {
- public:
-  ProjectElement(std::string name, PelEnv env, std::string out_name,
-                 std::vector<PelProgram> field_programs)
-      : Element(std::move(name)),
-        vm_(env),
-        out_schema_(InternSchema(out_name)),
-        field_programs_(std::move(field_programs)) {
-    for (const PelProgram& p : field_programs_) {
-      p.Lower();
-    }
-  }
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  SchemaId out_schema_;  // interned once; tuple construction skips the string
-  std::vector<PelProgram> field_programs_;
-};
-
-// One equality constraint of a join: table column `table_col` must equal
-// the value computed from the incoming tuple by `expr`.
+// One equality constraint of a probe: table column `table_col` must equal
+// the value `expr` computes from the binding frame.
 struct JoinKey {
   size_t table_col;
   PelProgram expr;
-};
-
-// Stream × table equijoin (§2.5): for each tuple pushed in, finds all rows
-// of `table` matching the key constraints (via a secondary index installed
-// at plan time) and pushes one concatenated tuple (input fields then table
-// fields) per match.
-class JoinElement : public Element {
- public:
-  JoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys,
-              std::string out_name);
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  Table* table_;
-  std::vector<JoinKey> keys_;
-  std::vector<size_t> key_cols_;
-  SchemaId out_schema_;
-};
-
-// Anti-join (OverLog "not"): passes the input through unchanged iff the
-// table holds NO matching row.
-class AntiJoinElement : public Element {
- public:
-  AntiJoinElement(std::string name, PelEnv env, Table* table, std::vector<JoinKey> keys);
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  PelVm vm_;
-  Table* table_;
-  std::vector<JoinKey> keys_;
-  std::vector<size_t> key_cols_;
 };
 
 // Inserts pushed tuples into a table. When the table content changes, the
@@ -130,20 +48,6 @@ class DeleteElement : public Element {
   Table* table_;
 };
 
-// Suppresses tuples identical to one seen recently (bounded memory).
-class DedupElement : public Element {
- public:
-  DedupElement(std::string name, size_t max_entries = 4096)
-      : Element(std::move(name)), max_entries_(max_entries) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  size_t max_entries_;
-  std::unordered_set<std::string> seen_;
-  std::vector<std::string> order_;
-  size_t next_evict_ = 0;
-};
-
 // Counting planner, derivation side: records one support for each locally
 // addressed head tuple flowing to the router, then passes it through.
 // `counting` is a per-push mode the planner's delta listener sets before
@@ -165,14 +69,17 @@ class SupportCountElement : public Element {
 };
 
 // Counting planner, retraction side: terminal element of a counted remove
-// chain. Decrements the support count of the re-derived head tuple;
-// deletes the head row when the count reaches zero — unless `retracting`
-// is false (the support merely expired), in which case the count drops but
-// the row is left to age out by its own TTL.
+// chain. Decrements the support count of each locally addressed
+// re-derived head tuple; deletes the head row when the count reaches zero
+// — unless `retracting` is false (the support merely expired), in which
+// case the count drops but the row is left to age out by its own TTL. A
+// remotely addressed head is ignored, matching the derivation side: it
+// ages out by soft-state expiry on the node it shipped to (there is no
+// wire delete).
 class CountedRetractElement : public Element {
  public:
-  CountedRetractElement(std::string name, SupportCounts* counts)
-      : Element(std::move(name)), counts_(counts) {}
+  CountedRetractElement(std::string name, SupportCounts* counts, std::string local_addr)
+      : Element(std::move(name)), counts_(counts), local_addr_(std::move(local_addr)) {}
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
   void set_retracting(bool on) { retracting_ = on; }
@@ -180,6 +87,7 @@ class CountedRetractElement : public Element {
 
  private:
   SupportCounts* counts_;
+  std::string local_addr_;
   bool retracting_ = true;
 };
 
@@ -218,18 +126,50 @@ class AggWrapElement : public Element {
   int64_t count_ = 0;
 };
 
-// Chain entry point inserted by the planner at the head of every rule:
-// brackets aggregate rules with Begin/Flush, counts rule firings, and
-// drops events narrower than the rule's event predicate (wire data is
-// untrusted — a well-framed tuple with a known name but the wrong arity
-// must not reach field-indexing elements).
+// A rule strand: the entry point and the whole body of one planned rule
+// variant. The planner appends the body ops in the order it chose — event
+// equality filters, stream × table equijoins and anti-joins (§2.5),
+// assignments and selections — then the head programs. Each pushed event
+// runs the ops depth-first over one binding frame, laid out like the
+// concatenated tuple an element-per-operator chain would pass along: the
+// event's fields, then each joined row's fields, then each assigned
+// value, so compiled PEL field indices address it directly. Only the head
+// tuple is built; it leaves on port 0 for the rule's tail (AggWrap, watch
+// tap, support count or retraction, delete, routing), with the caller's
+// callback, and Push returns the AND of those pushes' signals.
+//
+// The driver also brackets aggregate rules with Begin/Flush, counts rule
+// firings, and drops events narrower than the rule's event predicate (wire
+// data is untrusted — a well-framed tuple with a known name but the wrong
+// arity must not reach field-indexed ops).
+//
+// Re-entrancy: a local head is inserted into its table synchronously, and
+// that insert can fire this same strand again before the outer fire ends
+// (Chord's CM9 `succ :- succ, pingResp` inserts into the table it probes).
+// Each re-entrancy depth reuses its own frame, so once a depth has been
+// reached a fire allocates no frame, and a nested fire never clobbers
+// outer bindings; every probe iterates a LookupByCols snapshot, so nested
+// inserts do not change what an outer probe visits.
 class RuleDriver : public Element {
  public:
-  RuleDriver(std::string name, AggWrapElement* agg /* nullable */)
-      : Element(std::move(name)), agg_(agg) {}
+  RuleDriver(std::string name, PelEnv env) : Element(std::move(name)), vm_(env) {}
+
+  // Body ops, appended in evaluation order. Programs are lowered to
+  // register form here, and a probe declares its index at once, so the
+  // planner's cost estimates for later terms see it.
+  void AddFilter(PelProgram pred);
+  void AddAssign(PelProgram value);
+  void AddJoin(Table* table, std::vector<JoinKey> keys);
+  // Passes the frame on iff `table` holds no row matching the keys
+  // (OverLog "not"); binds nothing.
+  void AddAntiJoin(Table* table, std::vector<JoinKey> keys);
+  // The head tuple `name`, one program per field over the final frame.
+  // Must be set before the first push.
+  void SetHead(const std::string& name, std::vector<PelProgram> fields);
+
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
-  // The planner wires the aggregate bracket after the chain is built.
+  // The planner wires the aggregate bracket after the strand is built.
   void set_agg(AggWrapElement* agg) { agg_ = agg; }
   void set_min_arity(size_t n) { min_arity_ = n; }
 
@@ -245,7 +185,39 @@ class RuleDriver : public Element {
   uint64_t malformed() const { return malformed_; }
 
  private:
-  AggWrapElement* agg_;
+  struct Op {
+    enum class Kind { kFilter, kAssign, kJoin, kAntiJoin };
+    Kind kind = Kind::kFilter;
+    PelProgram expr;               // kFilter: predicate; kAssign: value
+    Table* table = nullptr;        // kJoin / kAntiJoin
+    std::vector<size_t> key_cols;  // probed columns (empty: whole table)
+    std::vector<PelProgram> key_exprs;  // one per probed column
+  };
+  // One re-entrancy depth's working state: the binding frame (only a
+  // prefix is live; slots past it hold stale values until overwritten)
+  // and the key values of the probe in flight.
+  struct Frame {
+    std::vector<Value> slots;
+    std::vector<Value> keys;
+  };
+
+  void AddProbe(Op::Kind kind, Table* table, std::vector<JoinKey> keys);
+  // Rows of op's table matching its keys over the frame's first `width`
+  // slots (a snapshot).
+  std::vector<TuplePtr> Probe(const Op& op, Frame& f, size_t width);
+  // Runs ops_[i..] over the frame's first `width` slots, pushing one head
+  // tuple per surviving binding. Returns the AND of the head signals.
+  int Run(size_t i, Frame& f, size_t width, const Callback& cb);
+
+  PelVm vm_;
+  std::vector<Op> ops_;
+  SchemaId head_schema_ = kInvalidSchema;
+  std::vector<PelProgram> head_;
+  AggWrapElement* agg_ = nullptr;
+  // Indexed by re-entrancy depth, allocated on first use at each depth;
+  // boxed so growing the vector never moves a frame an outer fire is using.
+  std::vector<std::unique_ptr<Frame>> frames_;
+  size_t depth_ = 0;
   size_t min_arity_ = 0;
   uint64_t fires_ = 0;
   uint64_t malformed_ = 0;

@@ -303,6 +303,8 @@ class PlanBuilder {
 
   // --- Rule planning ---
 
+  // One rule variant under construction: its strand (the driver, which
+  // holds the body ops and head programs) and the last element of its tail.
   struct Chain {
     RuleDriver* driver = nullptr;
     Element* tail = nullptr;
@@ -329,9 +331,9 @@ class PlanBuilder {
   }
 
   // Compiles `expr` against `env` into a standalone program (stack form;
-  // the receiving element lowers it to register code at construction, so
-  // every program in the plan is register-compiled before the first tuple
-  // flows).
+  // the receiving strand or element lowers it to register code when it
+  // takes it, so every program in the plan is register-compiled before the
+  // first tuple flows).
   bool Compile(const Expr& expr, const VarEnv& env, PelProgram* prog, std::string* err) {
     return CompileExpr(expr, env, prog, err);
   }
@@ -345,7 +347,7 @@ class PlanBuilder {
       return false;
     }
     prog.Emit(PelOp::kEq);
-    Append(chain, graph_.Add<FilterElement>(Gensym("eqfilter"), MakePelEnv(), std::move(prog)));
+    chain->driver->AddFilter(std::move(prog));
     return true;
   }
 
@@ -410,7 +412,7 @@ class PlanBuilder {
   }
 
   // Appends a join (or anti-join) against a table predicate. `width` is the
-  // current intermediate tuple width and is updated.
+  // current binding-frame width and is updated.
   bool AppendTableTerm(const PredicateAst& pred, Chain* chain, VarEnv* env, size_t* width,
                        std::string* err) {
     Table* table = FindTable(pred.name);
@@ -462,16 +464,14 @@ class PlanBuilder {
         return false;
       }
       explain_ += pad_ + "antijoin " + pred.name + " on " + ColsToString(key_cols) + "\n";
-      Append(chain, graph_.Add<AntiJoinElement>(Gensym("antijoin:" + pred.name), MakePelEnv(),
-                                                table, std::move(keys)));
+      chain->driver->AddAntiJoin(table, std::move(keys));
       return true;  // width unchanged
     }
     // The estimate is taken before the join declares its index, as the
     // cost ordering saw it.
     explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols) +
                 " est=" + EstToString(table->EstimateFanout(key_cols)) + "\n";
-    Append(chain, graph_.Add<JoinElement>(Gensym("join:" + pred.name), MakePelEnv(), table,
-                                          std::move(keys), "j"));
+    chain->driver->AddJoin(table, std::move(keys));
     size_t base = *width;
     for (const Pending& nb : new_binds) {
       (*env)[nb.var] = base + nb.col;
@@ -483,8 +483,7 @@ class PlanBuilder {
       prog.Emit(PelOp::kPushField, static_cast<uint32_t>(base + col));
       prog.Emit(PelOp::kPushField, static_cast<uint32_t>(base + first_col));
       prog.Emit(PelOp::kEq);
-      Append(chain,
-             graph_.Add<FilterElement>(Gensym("dupfilter"), MakePelEnv(), std::move(prog)));
+      chain->driver->AddFilter(std::move(prog));
     }
     return true;
   }
@@ -500,8 +499,7 @@ class PlanBuilder {
       return false;
     }
     explain_ += pad_ + "assign " + assign.var + "\n";
-    Append(chain, graph_.Add<ExtendElement>(Gensym("assign:" + assign.var), MakePelEnv(),
-                                            std::move(prog)));
+    chain->driver->AddAssign(std::move(prog));
     (*env)[assign.var] = *width;
     *width += 1;
     return true;
@@ -513,7 +511,7 @@ class PlanBuilder {
       return false;
     }
     explain_ += pad_ + "filter\n";
-    Append(chain, graph_.Add<FilterElement>(Gensym("filter"), MakePelEnv(), std::move(prog)));
+    chain->driver->AddFilter(std::move(prog));
     return true;
   }
 
@@ -709,8 +707,9 @@ class PlanBuilder {
     return true;
   }
 
-  // Plans one delta/event variant of a rule: driver, body chain, head
-  // projection, head routing, event wiring.
+  // Plans one delta/event variant of a rule: the strand (event binding,
+  // body ops, head projection), its tail (aggregation, watch tap, head
+  // routing or retraction) and its event wiring.
   bool PlanRuleVariant(const RuleAst& rule, const AggInfo& agg, int event_idx,
                        TriggerKind trig, const std::string& label, bool counted,
                        std::string* err) {
@@ -731,8 +730,8 @@ class PlanBuilder {
         break;
     }
 
-    // 1. Create the rule driver and bind the event.
-    auto* driver = graph_.Add<RuleDriver>("rule:" + label, nullptr);
+    // 1. Create the rule strand and bind the event.
+    auto* driver = graph_.Add<RuleDriver>("rule:" + label, MakePelEnv());
     driver->set_min_arity(event.args.size());
     node_->rule_drivers_.emplace_back(label, driver);
     Chain chain{driver, driver};
@@ -766,8 +765,8 @@ class PlanBuilder {
     return WireEvent(rule, event, trig, chain, err);
   }
 
-  // Steps 3 + 4 of rule planning: head projection (+ aggregation bracket),
-  // watch tap, head routing / retraction.
+  // Steps 3 + 4 of rule planning: the strand's head projection, then the
+  // tail: aggregation bracket, watch tap, head routing / retraction.
   bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst& event,
                        TriggerKind trig, const std::string& label, bool counted, Chain* chain,
                        const VarEnv& env, std::string* err) {
@@ -792,8 +791,7 @@ class PlanBuilder {
       }
       head_programs.push_back(std::move(prog));
     }
-    Append(chain, graph_.Add<ProjectElement>(Gensym("project:" + rule.head.name), MakePelEnv(),
-                                             rule.head.name, std::move(head_programs)));
+    chain->driver->SetHead(rule.head.name, std::move(head_programs));
 
     if (agg.present) {
       // Empty-group emission (count<*> over zero matches) requires every
@@ -831,7 +829,7 @@ class PlanBuilder {
       chain->driver->set_agg(aggwrap);
     }
 
-    // 4. Head routing. A watched head gets its tap here — after projection,
+    // 4. Head routing. A watched head gets its tap here — after the strand,
     // before routing — so every derivation is logged exactly once with the
     // producing rule variant's label.
     if (WatchTapElement* tap = MaybeHeadTap(rule.head.name, label)) {
@@ -840,16 +838,10 @@ class PlanBuilder {
     if (trig == TriggerKind::kDeltaRemove) {
       Table* head_table = FindTable(rule.head.name);
       P2_CHECK(counted && head_table != nullptr);  // remove variants are counted
-      // Retraction only un-derives rows stored on this node; a remote head
-      // ages out by soft-state expiry as before (there is no wire delete).
-      PelProgram prog;
-      prog.Emit(PelOp::kPushField, 0);
-      prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Addr(node_->addr_)));
-      prog.Emit(PelOp::kEq);
-      Append(chain,
-             graph_.Add<FilterElement>(Gensym("localguard"), MakePelEnv(), std::move(prog)));
+      // Retraction only un-derives rows stored on this node; the retractor
+      // ignores a remote head, which ages out by soft-state expiry.
       chain->retractor = graph_.Add<CountedRetractElement>(
-          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table));
+          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table), node_->addr_);
       Append(chain, chain->retractor);
       explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
     } else if (rule.delete_head) {

@@ -1,13 +1,17 @@
 // The P2 planner (§3.5): translates a parsed, localized OverLog program
 // into tables, indices and a dataflow element graph inside a P2Node.
 //
-// Per rule, the planner emits one or more *variants*: a RuleDriver fed by
-// an event source (periodic timer, stream demux port, or a table's delta
-// stream), a sequence of equijoin / anti-join / filter / extend elements
-// over the remaining body terms, a projection constructing the head tuple,
-// optional per-event aggregation (AggWrap), and finally either a table
-// delete, or the node's output router which sends remote tuples over the
-// network and loops local ones back into the input queue.
+// Per rule, the planner emits one or more *variants*. Each is a strand —
+// a RuleDriver fed by an event source (periodic timer, stream demux port,
+// or a table's delta stream) that runs the remaining body terms as
+// ordered equijoin / anti-join / filter / assignment ops over one binding
+// frame and builds only the head tuple — followed by a tail of elements:
+// optional per-event aggregation (AggWrap), a watch tap, support counting
+// or retraction, and finally either a table delete or the node's output
+// router, which sends remote tuples over the network and stores or loops
+// back local ones. The paper's graph has one element per operator; here
+// that holds between rules, while inside a rule the operators are the
+// strand's ops (`--explain` lists them as the rule's body lines).
 //
 // Evaluation is semi-naive. A rule whose body is all materialized
 // predicates is rewritten into per-delta variants: one insert-triggered

@@ -49,10 +49,11 @@ Value HashToId(const Value& v) {
 }  // namespace
 
 Value PelVm::Eval(const PelProgram& prog, const Tuple* input) {
-  return EvalRegs(prog, input);
+  return input == nullptr ? Eval(prog, nullptr, 0)
+                          : Eval(prog, input->fields().data(), input->size());
 }
 
-Value PelVm::EvalRegs(const PelProgram& prog, const Tuple* input) {
+Value PelVm::Eval(const PelProgram& prog, const Value* fields, size_t n) {
   const std::vector<PelRegInstr>& code = prog.reg_code();
   const uint16_t nregs = prog.num_regs();
   P2_CHECK(nregs >= 1);  // empty programs have no result
@@ -70,8 +71,8 @@ Value PelVm::EvalRegs(const PelProgram& prog, const Tuple* input) {
       case PelSrcKind::kConst:
         return consts[s.index];
       case PelSrcKind::kField:
-        P2_CHECK(input != nullptr && s.index < input->size());
-        return input->field(s.index);
+        P2_CHECK(s.index < n);
+        return fields[s.index];
       case PelSrcKind::kNone:
         break;
     }

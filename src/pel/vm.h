@@ -35,12 +35,15 @@ class PelVm {
   // bug, not user input).
   Value Eval(const PelProgram& prog, const Tuple* input);
 
+  // Evaluates `prog` against a binding frame: `n` fields at `fields` (a
+  // rule strand's event fields, joined rows and assigned values). Field
+  // reads are bound-checked against `n`, exactly as against a tuple.
+  Value Eval(const PelProgram& prog, const Value* fields, size_t n);
+
   // Evaluates a boolean-valued program; non-bool results coerce via AsBool.
   bool EvalBool(const PelProgram& prog, const Tuple* input);
 
  private:
-  Value EvalRegs(const PelProgram& prog, const Tuple* input);
-
   PelEnv env_;
   std::vector<Value> regs_;  // register file, reused across calls
 };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/dataflow/basic_elements.h"
 #include "src/dataflow/graph.h"
 #include "src/dataflow/rel_elements.h"
@@ -10,6 +12,24 @@ namespace {
 
 TuplePtr T(const std::string& name, std::vector<Value> fields) {
   return Tuple::Make(name, std::move(fields));
+}
+
+// Head programs copying the first `n` frame slots unchanged.
+std::vector<PelProgram> Slots(uint32_t n) {
+  std::vector<PelProgram> programs(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    programs[i].Emit(PelOp::kPushField, i);
+  }
+  return programs;
+}
+
+// One probe key: table column `col` equals frame slot `slot`.
+std::vector<JoinKey> KeyOn(size_t col, uint32_t slot) {
+  PelProgram expr;
+  expr.Emit(PelOp::kPushField, slot);
+  std::vector<JoinKey> keys;
+  keys.push_back(JoinKey{col, std::move(expr)});
+  return keys;
 }
 
 class ElementsTest : public ::testing::Test {
@@ -174,26 +194,38 @@ TEST_F(ElementsTest, PeriodicSourceStopCancels) {
   EXPECT_EQ(out.size(), seen);
 }
 
-TEST_F(ElementsTest, FilterDropsFalse) {
+// --- Rule strands ---------------------------------------------------------
+//
+// A strand runs a rule's body ops over one binding frame and builds only
+// the head tuple. These cases feed it the inputs the per-operator
+// elements it replaced (filter, extend, project, join, anti-join) were
+// tested with, and expect the same outputs.
+
+TEST_F(ElementsTest, StrandFilterDropsFalse) {
   PelProgram prog;  // field0 > 5
   prog.Emit(PelOp::kPushField, 0);
   prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Int(5)));
   prog.Emit(PelOp::kGt);
-  auto* f = graph_.Add<FilterElement>("f", Env(), std::move(prog));
+  auto* f = graph_.Add<RuleDriver>("rule:f", Env());
+  f->AddFilter(std::move(prog));
+  f->SetHead("t", Slots(1));
   std::vector<TuplePtr> out;
   graph_.Connect(f, 0, Sink(&out), 0);
   f->Push(0, T("t", {Value::Int(3)}), nullptr);
   f->Push(0, T("t", {Value::Int(7)}), nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->field(0).AsInt(), 7);
+  EXPECT_EQ(f->fires(), 2u);  // a filtered fire still counts as a fire
 }
 
-TEST_F(ElementsTest, ExtendAppendsComputedField) {
+TEST_F(ElementsTest, StrandAssignAppendsComputedField) {
   PelProgram prog;  // field0 + 1
   prog.Emit(PelOp::kPushField, 0);
   prog.Emit(PelOp::kPushConst, prog.AddConst(Value::Int(1)));
   prog.Emit(PelOp::kAdd);
-  auto* e = graph_.Add<ExtendElement>("e", Env(), std::move(prog));
+  auto* e = graph_.Add<RuleDriver>("rule:e", Env());
+  e->AddAssign(std::move(prog));
+  e->SetHead("t", Slots(2));  // the assigned value is frame slot 1
   std::vector<TuplePtr> out;
   graph_.Connect(e, 0, Sink(&out), 0);
   e->Push(0, T("t", {Value::Int(41)}), nullptr);
@@ -202,11 +234,12 @@ TEST_F(ElementsTest, ExtendAppendsComputedField) {
   EXPECT_EQ(out[0]->field(1).AsInt(), 42);
 }
 
-TEST_F(ElementsTest, ProjectBuildsHeadTuple) {
+TEST_F(ElementsTest, StrandHeadProjectsFields) {
   std::vector<PelProgram> programs(2);
   programs[0].Emit(PelOp::kPushField, 1);
   programs[1].Emit(PelOp::kPushConst, programs[1].AddConst(Value::Str("k")));
-  auto* p = graph_.Add<ProjectElement>("p", Env(), "head", std::move(programs));
+  auto* p = graph_.Add<RuleDriver>("rule:p", Env());
+  p->SetHead("head", std::move(programs));
   std::vector<TuplePtr> out;
   graph_.Connect(p, 0, Sink(&out), 0);
   p->Push(0, T("t", {Value::Int(1), Value::Int(2)}), nullptr);
@@ -216,7 +249,7 @@ TEST_F(ElementsTest, ProjectBuildsHeadTuple) {
   EXPECT_EQ(out[0]->field(1).AsStr(), "k");
 }
 
-TEST_F(ElementsTest, JoinEmitsConcatenatedMatches) {
+TEST_F(ElementsTest, StrandJoinBindsEachMatch) {
   TableSpec spec;
   spec.name = "nbr";
   spec.key_positions = {0, 1};
@@ -224,11 +257,9 @@ TEST_F(ElementsTest, JoinEmitsConcatenatedMatches) {
   table.Insert(T("nbr", {Value::Int(1), Value::Str("a")}));
   table.Insert(T("nbr", {Value::Int(1), Value::Str("b")}));
   table.Insert(T("nbr", {Value::Int(2), Value::Str("c")}));
-  PelProgram key;  // event field 0 == table col 0
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  auto* join = graph_.Add<JoinElement>("join", Env(), &table, std::move(keys), "j");
+  auto* join = graph_.Add<RuleDriver>("rule:join", Env());
+  join->AddJoin(&table, KeyOn(0, 0));  // event field 0 == table col 0
+  join->SetHead("j", Slots(4));        // the whole frame: event, then row
   std::vector<TuplePtr> out;
   graph_.Connect(join, 0, Sink(&out), 0);
   join->Push(0, T("ev", {Value::Int(1), Value::Int(99)}), nullptr);
@@ -244,23 +275,57 @@ TEST_F(ElementsTest, JoinEmitsConcatenatedMatches) {
   EXPECT_TRUE(table.HasIndex({0}));
 }
 
-TEST_F(ElementsTest, AntiJoinPassesOnlyWhenNoMatch) {
+TEST_F(ElementsTest, StrandAntiJoinPassesOnlyWhenNoMatch) {
   TableSpec spec;
   spec.name = "t";
   spec.key_positions = {0};
   Table table(spec, &loop_);
   table.Insert(T("t", {Value::Int(1)}));
-  PelProgram key;
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  auto* aj = graph_.Add<AntiJoinElement>("aj", Env(), &table, std::move(keys));
+  auto* aj = graph_.Add<RuleDriver>("rule:aj", Env());
+  aj->AddAntiJoin(&table, KeyOn(0, 0));
+  aj->SetHead("ev", Slots(1));
   std::vector<TuplePtr> out;
   graph_.Connect(aj, 0, Sink(&out), 0);
   aj->Push(0, T("ev", {Value::Int(1)}), nullptr);  // match exists: blocked
   aj->Push(0, T("ev", {Value::Int(2)}), nullptr);  // no match: passes
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->field(0).AsInt(), 2);
+}
+
+TEST_F(ElementsTest, StrandNestedJoinsBacktrackOverOneFrame) {
+  // ev(K) joins a(K, M), then b(M, V): the frame is [K | K, M | M, V], and
+  // the second probe's slots are rewritten for every row the first yields.
+  TableSpec aspec;
+  aspec.name = "a";
+  aspec.key_positions = {0, 1};
+  Table a(aspec, &loop_);
+  a.Insert(T("a", {Value::Int(1), Value::Int(10)}));
+  a.Insert(T("a", {Value::Int(1), Value::Int(20)}));
+  a.Insert(T("a", {Value::Int(2), Value::Int(30)}));
+  TableSpec bspec;
+  bspec.name = "b";
+  bspec.key_positions = {0, 1};
+  Table b(bspec, &loop_);
+  b.Insert(T("b", {Value::Int(10), Value::Str("x")}));
+  b.Insert(T("b", {Value::Int(10), Value::Str("y")}));
+  b.Insert(T("b", {Value::Int(20), Value::Str("z")}));
+  b.Insert(T("b", {Value::Int(30), Value::Str("w")}));
+  auto* s = graph_.Add<RuleDriver>("rule:s", Env());
+  s->AddJoin(&a, KeyOn(0, 0));
+  s->AddJoin(&b, KeyOn(0, 2));  // b col 0 == frame slot 2 (a's M)
+  std::vector<PelProgram> head(2);
+  head[0].Emit(PelOp::kPushField, 2);
+  head[1].Emit(PelOp::kPushField, 4);
+  s->SetHead("h", std::move(head));
+  std::vector<TuplePtr> out;
+  graph_.Connect(s, 0, Sink(&out), 0);
+  s->Push(0, T("ev", {Value::Int(1)}), nullptr);
+  std::vector<std::string> got;
+  for (const TuplePtr& t : out) {
+    got.push_back(t->ToString());
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"h(10, \"x\")", "h(10, \"y\")", "h(20, \"z\")"}));
 }
 
 TEST_F(ElementsTest, AggWrapMinSelectsWinningTuple) {
@@ -318,9 +383,10 @@ TEST_F(ElementsTest, AggWrapSumAccumulates) {
 TEST_F(ElementsTest, RuleDriverBracketsAggregate) {
   auto* agg = graph_.Add<AggWrapElement>("agg", Env(), AggKind::kMax, 0, "out", false,
                                          std::vector<PelProgram>{});
-  auto* driver = graph_.Add<RuleDriver>("rule:x", nullptr);
+  auto* driver = graph_.Add<RuleDriver>("rule:x", Env());
   driver->set_agg(agg);
-  // driver -> agg directly: the "chain" degenerates to identity.
+  // An empty body whose head copies the event: the strand is identity.
+  driver->SetHead("pre", Slots(1));
   graph_.Connect(driver, 0, agg, 0);
   std::vector<TuplePtr> out;
   graph_.Connect(agg, 0, Sink(&out), 0);
@@ -341,16 +407,6 @@ TEST_F(ElementsTest, InsertAndDeleteElements) {
   EXPECT_EQ(table.size(), 1u);
   del->Push(0, T("t", {Value::Int(1), Value::Int(999)}), nullptr);
   EXPECT_EQ(table.size(), 0u);
-}
-
-TEST_F(ElementsTest, DedupSuppressesRepeats) {
-  auto* dd = graph_.Add<DedupElement>("dd", 100);
-  std::vector<TuplePtr> out;
-  graph_.Connect(dd, 0, Sink(&out), 0);
-  dd->Push(0, T("t", {Value::Int(1)}), nullptr);
-  dd->Push(0, T("t", {Value::Int(1)}), nullptr);
-  dd->Push(0, T("t", {Value::Int(2)}), nullptr);
-  EXPECT_EQ(out.size(), 2u);
 }
 
 TEST_F(ElementsTest, TableAggWatcherEmitsOnChange) {

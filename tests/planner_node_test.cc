@@ -195,6 +195,34 @@ TEST_F(PlannerNodeTest, PerEventMinAggregateSelectsWinner) {
   EXPECT_EQ(outs[0]->field(2).AsInt(), 10);
 }
 
+// Gossip's shape: a volatile assignment after a join. A volatile body
+// keeps rule-text order, so the strand draws once per joined row that
+// passes the filter written before the assignment, in probe order, and
+// never for the filtered row. The expected draws were captured from the
+// element-per-operator chain that the strand replaced (node seed 1).
+TEST_F(PlannerNodeTest, VolatileAssignDrawsOncePerJoinedRowInRuleTextOrder) {
+  const std::string program =
+      "materialize(gmember, infinity, 100, keys(2)).\n"
+      "G2 pick@X(X,Y,R) :- gossipEvent@X(X,E), gmember@X(X,Y), Y != X, R := f_rand().\n";
+  auto n = Install(t1_.get(), program, 1);
+  for (const char* y : {"m1", "n1", "m2", "m3"}) {  // n1 is the node itself
+    n->GetTable("gmember")->Insert(Tuple::Make("gmember", {Value::Addr("n1"), Value::Addr(y)}));
+  }
+  std::vector<std::pair<std::string, double>> picks;
+  n->Subscribe("pick", [&](const TuplePtr& t) {
+    picks.emplace_back(t->field(1).AsAddr(), t->field(2).AsDouble());
+  });
+  n->Start();
+  n->Inject(Tuple::Make("gossipEvent", {Value::Addr("n1"), Value::Int(1)}));
+  loop_.RunUntil(1.0);
+  const std::vector<std::pair<std::string, double>> want = {
+      {"m1", 0.70292183315885048}, {"m2", 0.52043661993885693}, {"m3", 0.5741057000197225}};
+  EXPECT_EQ(picks, want);
+  // Exactly three draws happened: the node's stream continues with the
+  // fourth.
+  EXPECT_EQ(n->rng()->NextDouble(), 0.39132860204190445);
+}
+
 TEST_F(PlannerNodeTest, CountEmitsZeroForEmptyMatch) {
   const std::string program =
       "materialize(m, infinity, 100, keys(2)).\n"

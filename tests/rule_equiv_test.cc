@@ -437,6 +437,86 @@ TEST_F(MultiDerivationTest, FinalStatesAgreeWhenEverySurvivingHeadHasSupport) {
   EXPECT_EQ(DumpH().size(), 3u);
 }
 
+// Strands whose local heads insert into the very table they probe. r1 is
+// Chord's CM9 shape (`succ :- succ, pingResp`): a stream strand iterating
+// t's rows while each head it builds is stored into t synchronously. r2 is
+// recursive through t: its delta-insert(link) variant probes t and inserts
+// into t, and its delta-insert(t) variant re-enters itself from its own
+// head insert, so nested fires of one strand overlap — and the nested
+// fire's event t(C, A) puts C in the frame slot where the outer fire, on
+// its next link row, still reads A. Probes iterate snapshots and each
+// re-entrancy depth has its own binding frame; if either leaked, t would
+// end with rows the reference never derives. Links only go upward
+// (A < B): a stored row's refresh re-fires the rules it feeds, so a link
+// cycle would re-derive the same rows forever.
+TEST(RuleEquivTest, HeadsInsertingIntoTheirProbedTableMatchTheReference) {
+  const std::string program =
+      "materialize(t, infinity, 1000, keys(2,3)).\n"
+      "materialize(link, infinity, 1000, keys(2,3)).\n"
+      "r1 t@X(X,B,V) :- bump@X(X,A,B), t@X(X,A,V).\n"
+      "r2 t@X(X,C,A) :- t@X(X,A,B), link@X(X,B,C).\n";
+  SimEventLoop loop;
+  SimNetwork net(&loop, Topology(TopologyConfig{}), 7);
+  auto transport = net.MakeTransport("n1", 0);
+  P2NodeConfig c;
+  c.executor = &loop;
+  c.transport = transport.get();
+  c.seed = 42;
+  P2Node node(c);
+  std::string err;
+  ASSERT_TRUE(node.Install(program, &err)) << err;
+  ReferenceEvaluator ref;
+  ASSERT_TRUE(ref.Load(program, "n1", &err)) << err;
+  node.Start();
+
+  // The reference sees every row the test stores, and every row a bump
+  // event derives against the state before it, as base facts.
+  RefDatabase base;
+  auto row = [](const char* name, int64_t a, int64_t b) {
+    return Tuple::Make(name, {Value::Addr("n1"), Value::Int(a), Value::Int(b)});
+  };
+  auto check = [&](const std::string& when) {
+    std::vector<std::string> got;
+    for (const TuplePtr& r : node.GetTable("t")->Scan()) {
+      got.push_back(RowKey("t", r->fields()));
+    }
+    RefDatabase fixpoint = ref.Fixpoint(base);
+    std::vector<std::string> want;
+    for (const std::vector<Value>& r : fixpoint["t"]) {
+      want.push_back(RowKey("t", r));
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << when;
+  };
+
+  std::mt19937 drive(11);
+  auto pick = [&drive](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(drive);
+  };
+  for (int step = 0; step < 80; ++step) {
+    int op = pick(0, 2);
+    int a = pick(0, 5);
+    int b = op == 2 ? pick(a + 1, 6) : pick(0, 6);
+    if (op == 0) {
+      TuplePtr ev = row("bump", a, b);
+      for (const TuplePtr& h : ref.Fire(*ev, ref.Fixpoint(base))) {
+        base["t"].insert(h->fields());
+      }
+      node.Inject(ev);
+    } else {
+      const char* name = op == 1 ? "t" : "link";
+      base[name].insert(row(name, a, b)->fields());
+      node.GetTable(name)->Insert(row(name, a, b));
+    }
+    loop.RunUntil(loop.Now() + 0.01);
+    check("after step " + std::to_string(step));
+  }
+  // The closure actually nested: r2's t-variant fired far more often than
+  // the test inserted t rows.
+  EXPECT_GT(node.RuleFireCounts()["r2"], 80u);
+}
+
 TEST(RuleEquivTest, ModeReachesThePlan) {
   std::mt19937 rng(1);
   GenProgram p = Generate(&rng, /*retracting=*/false);

@@ -270,7 +270,7 @@ TEST_F(SemiNaiveTest, ReentrantDeltasAreQueuedNotDropped) {
 
 // --- Backpressure plumbing ------------------------------------------------
 
-// Captures the congestion callback a join hands downstream.
+// Captures the congestion callback a strand hands downstream.
 class CongestedSink : public Element {
  public:
   CongestedSink() : Element("congested_sink") {}
@@ -284,7 +284,7 @@ class CongestedSink : public Element {
   std::vector<bool> saw_callback;
 };
 
-TEST_F(SemiNaiveTest, JoinForwardsBackpressureCallback) {
+TEST_F(SemiNaiveTest, StrandJoinForwardsBackpressureCallback) {
   TableSpec spec;
   spec.name = "t";
   spec.key_positions = {1};
@@ -294,7 +294,15 @@ TEST_F(SemiNaiveTest, JoinForwardsBackpressureCallback) {
 
   PelProgram key;  // join on input field 0 == table column 0
   key.Emit(PelOp::kPushField, 0);
-  JoinElement join("join", PelEnv{}, &table, {JoinKey{0, std::move(key)}}, "out");
+  std::vector<JoinKey> keys;
+  keys.push_back(JoinKey{0, std::move(key)});
+  RuleDriver join("rule:join", PelEnv{});
+  join.AddJoin(&table, std::move(keys));
+  std::vector<PelProgram> head(3);  // out(event field, row fields)
+  for (uint32_t i = 0; i < 3; ++i) {
+    head[i].Emit(PelOp::kPushField, i);
+  }
+  join.SetHead("out", std::move(head));
   CongestedSink sink;
   join.BindOutput(0, &sink, 0);
 
