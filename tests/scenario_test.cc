@@ -49,6 +49,34 @@ TEST(ScenarioSmoke, ChordSimChurnStaysAvailable) {
   cfg.duration_s = 90;
   ScenarioReport report = RunScenario(cfg);
   EXPECT_TRUE(report.converged) << report.detail;
+  EXPECT_EQ(report.sim_events, 78217u);
+}
+
+// Pins the paths where a churned chord slot meets the fault and transport
+// machinery: fresh-address replacements (20 deaths), the reliable-channel
+// seed draws, and lookup retries on dilated slow nodes — at one shard and
+// at four.
+TEST(ScenarioSmoke, ChordSimChurnOnSlowReliableLossyFleetIsPinned) {
+  ScenarioConfig cfg;
+  cfg.overlay = OverlayKind::kChord;
+  cfg.backend = BackendKind::kSim;
+  cfg.nodes = 16;
+  cfg.seed = 7;
+  cfg.lookups = 10;
+  cfg.churn_session_mean_s = 120;
+  cfg.duration_s = 120;
+  cfg.loss_rate = 0.1;
+  cfg.reliable = true;
+  cfg.faults.slow_fraction = 0.25;
+  cfg.faults.slow_factor = 1.5;
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    cfg.shards = shards;
+    ScenarioReport report = RunScenario(cfg);
+    EXPECT_TRUE(report.converged) << report.detail;
+    EXPECT_EQ(report.churn_deaths, 20u);
+    EXPECT_EQ(report.sim_events, 139125u);
+  }
 }
 
 TEST(ScenarioSmoke, GossipSimMembershipConverges) {
@@ -212,6 +240,7 @@ TEST(ScenarioReliable, ChordSimWithLossConvergesOnlyWithReliableStack) {
   EXPECT_GT(with_stack.transport_stats.retransmits, 0u);
   EXPECT_GT(with_stack.transport_stats.rtt_samples, 0u);
   EXPECT_GT(with_stack.transport_stats.MeanCwnd(), 0.0);
+  EXPECT_EQ(with_stack.sim_events, 144861u);
 
   cfg.reliable = false;
   ScenarioReport without_stack = RunScenario(cfg);
