@@ -39,26 +39,25 @@ void RunFingerAblation(size_t n, int lookups) {
                                 13)
                           .c_str());
   for (bool eager : {true, false}) {
+    ScenarioNet net(BackendKind::kSim, n, /*seed=*/99);
     TestbedConfig cfg;
-    cfg.num_nodes = n;
-    cfg.seed = 99;
     cfg.join_stagger_s = 1.0;
     cfg.chord = ScaledTimers(2.0);
     cfg.chord.eager_fingers = eager;
-    ChordTestbed tb(cfg);
+    ChordTestbed tb(cfg, &net);
     tb.BuildAndSettle(1.0 * static_cast<double>(n) + 60.0);
-    tb.RunFor(60.0);
+    net.Run(60.0);
     double fingers_60 = tb.MeanFingerRows();
     uint64_t maint0 = tb.TotalMaintBytesOut();
-    tb.RunFor(240.0);
+    net.Run(240.0);
     double fingers_300 = tb.MeanFingerRows();
     double bw = static_cast<double>(tb.TotalMaintBytesOut() - maint0) / 240.0 /
                 static_cast<double>(tb.num_live());
     for (int i = 0; i < lookups; ++i) {
       tb.IssueRandomLookup();
-      tb.RunFor(0.5);
+      net.Run(0.5);
     }
-    tb.RunFor(20.0);
+    net.Run(20.0);
     Cdf hops;
     for (const auto& rec : tb.lookups()) {
       if (rec.completed) {
@@ -86,26 +85,26 @@ void RunTimerAblation(size_t n, double churn_s) {
                                 14)
                           .c_str());
   for (double ping : {1.0, 2.5, 5.0, 10.0}) {
+    ScenarioNet net(BackendKind::kSim, n, /*seed=*/7);
     TestbedConfig cfg;
-    cfg.num_nodes = n;
-    cfg.seed = 7;
     cfg.join_stagger_s = 1.0;
     cfg.chord = ScaledTimers(ping);
-    ChordTestbed tb(cfg);
+    ChordTestbed tb(cfg, &net);
     tb.BuildAndSettle(1.0 * static_cast<double>(n) + 12.0 * ping + 60.0);
     ChurnConfig cc;
     cc.session_mean_s = 16 * 60.0;
     cc.seed = 5;
-    ChurnDriver churn(&tb, cc);
+    ChurnDriver churn(net.control_executor(), n,
+                      [&tb](size_t slot) { return tb.ReplaceNode(slot); }, cc);
     churn.Start();
     uint64_t maint0 = tb.TotalMaintBytesOut();
-    double t0 = tb.Now();
+    double t0 = net.Now();
     for (int i = 0; i < static_cast<int>(churn_s); ++i) {
       tb.IssueRandomLookup();
-      tb.RunFor(1.0);
+      net.Run(1.0);
     }
-    tb.RunFor(30.0);
-    double bw = static_cast<double>(tb.TotalMaintBytesOut() - maint0) / (tb.Now() - t0) /
+    net.Run(30.0);
+    double bw = static_cast<double>(tb.TotalMaintBytesOut() - maint0) / (net.Now() - t0) /
                 static_cast<double>(tb.num_live());
     size_t completed = 0;
     size_t consistent = 0;

@@ -28,27 +28,26 @@ struct CompareResult {
 };
 
 CompareResult RunOne(bool use_baseline, size_t n, int lookups, uint64_t seed) {
+  ScenarioNet net(BackendKind::kSim, n, seed);
   TestbedConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = seed;
   cfg.use_baseline = use_baseline;
   cfg.join_stagger_s = 3.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(3.0 * static_cast<double>(n) + 300.0);
 
   CompareResult r;
   r.ring_consistency = tb.RingConsistencyFraction();
   uint64_t maint0 = tb.TotalMaintBytesOut();
   double window = 120.0;
-  tb.RunFor(window);
+  net.Run(window);
   r.maint_bw = static_cast<double>(tb.TotalMaintBytesOut() - maint0) / window /
                static_cast<double>(tb.num_live());
 
   for (int i = 0; i < lookups; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(0.5);
+    net.Run(0.5);
   }
-  tb.RunFor(30.0);
+  net.Run(30.0);
   Cdf latency;
   Cdf hops;
   size_t completed = 0;

@@ -30,11 +30,10 @@ struct Fig3Result {
 };
 
 Fig3Result RunOne(size_t n, int lookups, uint64_t seed) {
+  ScenarioNet net(BackendKind::kSim, n, seed);
   TestbedConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = seed;
   cfg.join_stagger_s = 3.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   // Joins staggered, then time for rings and fingers to converge.
   double settle = 3.0 * static_cast<double>(n) + 300.0;
   tb.BuildAndSettle(settle);
@@ -46,7 +45,7 @@ Fig3Result RunOne(size_t n, int lookups, uint64_t seed) {
   // Maintenance bandwidth measured over an idle window (no lookups yet).
   uint64_t maint0 = tb.TotalMaintBytesOut();
   double window = 120.0;
-  tb.RunFor(window);
+  net.Run(window);
   r.maint_bw_per_node = static_cast<double>(tb.TotalMaintBytesOut() - maint0) / window /
                         static_cast<double>(tb.num_live());
   r.mean_mem_bytes = tb.MeanNodeMemoryBytes();
@@ -54,9 +53,9 @@ Fig3Result RunOne(size_t n, int lookups, uint64_t seed) {
   // Uniform lookup workload.
   for (int i = 0; i < lookups; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(0.25);
+    net.Run(0.25);
   }
-  tb.RunFor(30.0);
+  net.Run(30.0);
   for (const auto& rec : tb.lookups()) {
     if (rec.completed) {
       r.hops.Add(static_cast<double>(rec.hops));

@@ -31,23 +31,23 @@ struct Fig4Result {
 };
 
 Fig4Result RunOne(size_t n, double session_min, double churn_s, uint64_t seed) {
+  ScenarioNet net(BackendKind::kSim, n, seed);
   TestbedConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = seed;
   cfg.join_stagger_s = 3.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(3.0 * static_cast<double>(n) + 300.0);
 
   ChurnConfig cc;
   cc.session_mean_s = session_min * 60.0;
   cc.seed = seed ^ 0xC0FFEE;
-  ChurnDriver churn(&tb, cc);
+  ChurnDriver churn(net.control_executor(), n,
+                    [&tb](size_t slot) { return tb.ReplaceNode(slot); }, cc);
   churn.Start();
 
   Fig4Result r;
   r.session_min = session_min;
   uint64_t maint0 = tb.TotalMaintBytesOut();
-  double t0 = tb.Now();
+  double t0 = net.Now();
 
   // One lookup per second; consistency audited per 60-second window.
   const double window_s = 60.0;
@@ -57,7 +57,7 @@ Fig4Result RunOne(size_t n, double session_min, double churn_s, uint64_t seed) {
     double chunk = std::min(window_s, churn_s - elapsed);
     for (int i = 0; i < static_cast<int>(chunk); ++i) {
       tb.IssueRandomLookup();
-      tb.RunFor(1.0);
+      net.Run(1.0);
     }
     elapsed += chunk;
     // Window accounting: look at lookups issued in this window that have
@@ -79,10 +79,10 @@ Fig4Result RunOne(size_t n, double session_min, double churn_s, uint64_t seed) {
     }
     lookups_before_window = tb.lookups().size();
   }
-  tb.RunFor(30.0);  // drain stragglers
+  net.Run(30.0);  // drain stragglers
 
   r.maint_bw_per_node = static_cast<double>(tb.TotalMaintBytesOut() - maint0) /
-                        (tb.Now() - t0) / static_cast<double>(tb.num_live());
+                        (net.Now() - t0) / static_cast<double>(tb.num_live());
   r.deaths = churn.deaths();
   for (const auto& rec : tb.lookups()) {
     ++r.issued;

@@ -105,12 +105,10 @@ int Main() {
               "lines of C++, MACEDON Chord > 320 statements.\n\n");
 
   std::printf("=== E9: per-node working set, running full Chord (8-node ring) ===\n");
-  TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 5;
-  ChordTestbed tb(cfg);
+  ScenarioNet fleet(BackendKind::kSim, 8, /*seed=*/5);
+  ChordTestbed tb(TestbedConfig{}, &fleet);
   tb.BuildAndSettle(120.0);
-  tb.RunFor(120.0);
+  fleet.Run(120.0);
   std::printf("mean approx working set per node: %.0f kB (paper: ~800 kB incl. C++ heap)\n\n",
               tb.MeanNodeMemoryBytes() / 1024.0);
 

@@ -30,8 +30,10 @@ void Usage(const char* argv0) {
       "  --nodes <n>          number of nodes (default 8)\n"
       "  --sim                deterministic virtual-time simulator (default)\n"
       "  --udp                real UDP sockets on 127.0.0.1, one process\n"
-      "  --churn <mean_s>     exponential mean session time; any overlay on\n"
-      "                       --sim, gossip|narada|pathvector also on --udp\n"
+      "  --churn <mean_s>     exponential mean session time, any overlay on\n"
+      "                       either backend; a dead node is replaced at once\n"
+      "                       (chord: as a new node id; the others: at the\n"
+      "                       same address)\n"
       "  --duration <s>       measurement phase length (default per overlay)\n"
       "  --lookups <n>        chord: lookups to issue (default 20)\n"
       "  --loss <p>           datagram loss probability (default 0; sim drops in\n"

@@ -64,14 +64,13 @@ const char* BackendKindName(BackendKind kind) {
 // --- ScenarioNet -----------------------------------------------------------
 
 ScenarioNet::ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
-                         double loss_rate, uint16_t udp_base_port,
-                         bool reliable, ReliableConfig reliable_config, size_t shards,
-                         FaultPlan faults, bool steal)
+                         double loss_rate, uint16_t udp_base_port, bool reliable,
+                         size_t shards, FaultPlan faults, bool steal)
     : backend_(backend),
       seed_(seed),
       loss_rate_(loss_rate),
       reliable_(reliable),
-      reliable_config_(reliable_config),
+      fresh_addr_counter_(nodes),
       faults_(std::move(faults)) {
   lossy_.resize(nodes);
   channels_.resize(nodes);
@@ -95,15 +94,12 @@ ScenarioNet::ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
   if (backend_ == BackendKind::kSim) {
     sim_engine_ = std::make_unique<ShardedSim>(shards);
     sim_engine_->SetStealing(steal);
-    sim_net_ = std::make_unique<SimNetwork>(sim_engine_.get(), Topology(TopologyConfig{}), seed);
+    sim_net_ = std::make_unique<SimNetwork>(sim_engine_.get(), Topology(TopologyConfig{}),
+                                            seed ^ 0x5EED);
     sim_net_->set_loss_rate(loss_rate);
     if (faults_.any()) {
       injector_ = std::make_unique<FaultInjector>(faults_, seed ^ 0xFA17ULL);
       sim_net_->SetFaults(injector_.get());
-      // Generic fleets measure from t=0, so timed windows anchor there (the
-      // chord testbed instead arms after its settle phase).
-      injector_->Arm(0.0);
-      injector_->ScheduleTransitions(sim_engine_->control());
     }
     for (size_t i = 0; i < nodes; ++i) {
       std::string addr = "n" + std::to_string(i);
@@ -162,7 +158,7 @@ void ScenarioNet::BuildStack(size_t i) {
     // reusing an address announces a fresh stream incarnation. The channel
     // belongs to node i, so its timers arm on node i's shard executor.
     channels_[i] = std::make_unique<ReliableChannel>(
-        top, executor(i), reliable_config_,
+        top, executor(i), ReliableConfig{},
         seed_ + 0xC4A271ULL + i + revive_counter_ * 1000003ULL);
   }
 }
@@ -171,15 +167,19 @@ size_t ScenarioNet::shards() const {
   return sim_engine_ != nullptr ? sim_engine_->num_workers() : 1;
 }
 
-size_t ScenarioNet::metrics_lanes() const {
-  return sim_engine_ != nullptr ? sim_engine_->num_shards() + 1 : 2;
+size_t ScenarioNet::num_shards() const {
+  return sim_engine_ != nullptr ? sim_engine_->num_shards() : 1;
 }
 
-Executor* ScenarioNet::executor(size_t i) {
+Executor* ScenarioNet::shard_executor(size_t i) {
   if (backend_ != BackendKind::kSim) {
     return udp_loop_.get();
   }
-  Executor* base = sim_engine_->shard(sim_net_->ShardOf(i));
+  return sim_engine_->shard(sim_net_->ShardOf(i));
+}
+
+Executor* ScenarioNet::executor(size_t i) {
+  Executor* base = shard_executor(i);
   if (injector_ != nullptr && injector_->IsSlowNode(i)) {
     // One wrapper per slot, reused across churn revivals so the slot stays
     // slow for its whole life regardless of how often it is rebuilt.
@@ -224,6 +224,27 @@ uint64_t ScenarioNet::SimEventsRun() const {
   return sim_engine_ != nullptr ? sim_engine_->events_run() : 0;
 }
 
+void ScenarioNet::ArmFaults() {
+  if (injector_ == nullptr) {
+    return;
+  }
+  injector_->Arm(sim_engine_->Now());
+  injector_->ScheduleTransitions(sim_engine_->control());
+}
+
+void ScenarioNet::SetObs(obs::Registry* metrics, obs::TraceLog* trace) {
+  metrics_ = metrics;
+  if (metrics != nullptr) {
+    metrics->AddCollector([this](obs::Snapshot* snap) { pool_.Collect(snap); });
+    if (injector_ != nullptr) {
+      injector_->BindObs(metrics);
+    }
+  }
+  if (sim_engine_ != nullptr) {
+    sim_engine_->SetObs(metrics, trace);
+  }
+}
+
 void ScenarioNet::Kill(size_t i) {
   if (channels_[i] != nullptr) {
     pool_.Retire(channels_[i]->Stats());
@@ -240,31 +261,39 @@ void ScenarioNet::Kill(size_t i) {
   }
 }
 
-void ScenarioNet::Revive(size_t i) {
+void ScenarioNet::Revive(size_t i, bool fresh_address) {
   ++revive_counter_;
   if (backend_ == BackendKind::kSim) {
     P2_CHECK(sim_transports_[i] == nullptr);
+    if (fresh_address) {
+      addrs_[i] = "n" + std::to_string(fresh_addr_counter_++);
+    }
     sim_transports_[i] = sim_net_->MakeTransport(addrs_[i], i);
     BuildStack(i);
     return;
   }
-  // UDP: re-bind the node's original port so the revived endpoint receives
-  // at the address its peers already hold. Without this a replacement would
-  // get a fresh kernel-assigned port and every datagram addressed to the
-  // old endpoint would blackhole.
+  // UDP: unless a fresh identity was asked for, re-bind the node's original
+  // port so the revived endpoint receives at the address its peers already
+  // hold. Without this a replacement would get a fresh kernel-assigned port
+  // and every datagram addressed to the old endpoint would blackhole.
   P2_CHECK(udp_transports_[i] == nullptr);
-  size_t colon = addrs_[i].rfind(':');
-  P2_CHECK(colon != std::string::npos);
-  int port = std::atoi(addrs_[i].c_str() + colon + 1);
-  P2_CHECK(port > 0 && port <= 65535);
+  int port = 0;
+  if (!fresh_address) {
+    size_t colon = addrs_[i].rfind(':');
+    P2_CHECK(colon != std::string::npos);
+    port = std::atoi(addrs_[i].c_str() + colon + 1);
+    P2_CHECK(port > 0 && port <= 65535);
+  }
   auto t = udp_loop_->MakeTransport(static_cast<uint16_t>(port));
   if (t == nullptr) {
     // The port can linger in use briefly; the caller sees a dead slot
     // (transport(i) == nullptr) until the next revive attempt, rather than
     // a silently misbound one.
-    P2_LOG(LogLevel::kWarn, "udp revive: re-bind of %s failed", addrs_[i].c_str());
+    P2_LOG(LogLevel::kWarn, "udp revive: bind for slot %zu (%s) failed", i,
+           addrs_[i].c_str());
     return;
   }
+  addrs_[i] = t->local_addr();
   udp_transports_[i] = std::move(t);
   BuildStack(i);
 }
@@ -310,48 +339,46 @@ void FinishTransportReport(const ScenarioConfig& config, const ReliableChannelSt
   }
 }
 
-// Bamboo-style churn scaffolding shared by the gossip/narada runners: each
-// death destroys the slot's node, revives its endpoint at the same
-// address, and rebuilds a replacement. Inert when churn is disabled.
-struct FleetChurn {
-  std::unique_ptr<FunctionChurnTarget> target;
-  std::unique_ptr<ChurnDriver> driver;
-
-  uint64_t deaths() const { return driver ? driver->deaths() : 0; }
-  explicit operator bool() const { return driver != nullptr; }
-};
-
-FleetChurn StartFleetChurn(const ScenarioConfig& config, ScenarioNet* net,
-                           std::function<void(size_t)> destroy_node,
-                           std::function<void(size_t, uint64_t)> rebuild_node) {
-  FleetChurn churn;
+// Bamboo-style churn (§5.2) over every slot of the net, inert (null) when
+// churn is disabled. `replace` destroys and rebuilds nodes across the
+// whole fleet, so deaths run on the control timeline (shards parked at a
+// barrier).
+std::unique_ptr<ChurnDriver> StartChurn(const ScenarioConfig& config, ScenarioNet* net,
+                                        std::function<bool(size_t)> replace) {
   if (config.churn_session_mean_s <= 0) {
-    return churn;
+    return nullptr;
   }
-  auto salt = std::make_shared<uint64_t>(0);
-  // Churn callbacks destroy and rebuild nodes across the whole fleet, so
-  // they run on the control timeline (shards parked at a barrier).
-  churn.target = std::make_unique<FunctionChurnTarget>(
-      net->control_executor(), net->size(),
-      [net, salt, destroy = std::move(destroy_node),
-       rebuild = std::move(rebuild_node)](size_t slot) {
-        destroy(slot);
-        net->Kill(slot);
-        net->Revive(slot);
-        if (net->transport(slot) == nullptr) {
-          // UDP re-bind can transiently fail (port briefly held elsewhere).
-          // Leave the slot dead; the next scheduled death retries Revive.
-          return true;
-        }
-        rebuild(slot, ++*salt);
-        return true;
-      });
   ChurnConfig churn_cfg;
   churn_cfg.session_mean_s = config.churn_session_mean_s;
   churn_cfg.seed = config.seed ^ 0xC0FFEE;
-  churn.driver = std::make_unique<ChurnDriver>(churn.target.get(), churn_cfg);
-  churn.driver->Start();
-  return churn;
+  auto driver = std::make_unique<ChurnDriver>(net->control_executor(), net->size(),
+                                              std::move(replace), churn_cfg);
+  driver->Start();
+  return driver;
+}
+
+// Churn for the gossip/narada/pathvector runners: each death destroys the
+// slot's node, revives its endpoint at the same address, and rebuilds a
+// replacement.
+std::unique_ptr<ChurnDriver> StartFleetChurn(const ScenarioConfig& config, ScenarioNet* net,
+                                             std::function<void(size_t)> destroy_node,
+                                             std::function<void(size_t, uint64_t)> rebuild_node) {
+  auto salt = std::make_shared<uint64_t>(0);
+  return StartChurn(config, net,
+                    [net, salt, destroy = std::move(destroy_node),
+                     rebuild = std::move(rebuild_node)](size_t slot) {
+                      destroy(slot);
+                      net->Kill(slot);
+                      net->Revive(slot);
+                      if (net->transport(slot) == nullptr) {
+                        // UDP re-bind can transiently fail (port briefly held
+                        // elsewhere). Leave the slot dead; the next scheduled
+                        // death retries Revive.
+                        return true;
+                      }
+                      rebuild(slot, ++*salt);
+                      return true;
+                    });
 }
 
 // Full-view convergence rule: everything under no churn; 3/4 under churn,
@@ -360,48 +387,65 @@ bool FullViewsConverged(size_t full_views, size_t nodes, bool churned) {
   return churned ? full_views * 4 >= nodes * 3 : full_views == nodes;
 }
 
-void AppendChurnDetail(const ScenarioConfig& config, const FleetChurn& churn,
+void AppendChurnDetail(const ScenarioConfig& config, const ChurnDriver* churn,
                        ScenarioReport* report, std::ostringstream* os) {
-  if (!churn) {
+  if (churn == nullptr) {
     return;
   }
-  report->churn_deaths = churn.deaths();
+  report->churn_deaths = churn->deaths();
   *os << "churn deaths: " << report->churn_deaths << " (mean session "
       << config.churn_session_mean_s << "s)\n";
 }
 
-// Chord on the deterministic simulator rides the evaluation harness: the
-// transit-stub testbed provides staggered joins, lookup bookkeeping with
-// ground-truth consistency, and (optionally) Bamboo-style churn.
-ScenarioReport RunChordSim(const ScenarioConfig& config) {
+// How a chord run is paced on each backend.
+struct ChordPacing {
+  double join_stagger_s;  // between consecutive joins
+  double settle_tail_s;   // after the last join, before the ring is audited
+  // A ring that has not healed by then keeps settling in windows of this
+  // length: at most one window per node, and none past ten without progress.
+  double extend_step_s;
+  double lookup_gap_s;        // between workload lookups
+  double min_drain_s;         // after the last lookup, at the least
+  double default_duration_s;  // measurement phase without --duration
+};
+
+// The simulator runs the fig3 recipe in virtual seconds: the settle tail
+// lets every node finish stabilization before measurement starts (a shorter
+// one leaves the last joiners' successor lists racing the first lookups,
+// which shows up as spurious inconsistency), and the drain outlasts every
+// lookup retry.
+constexpr ChordPacing kSimChordPacing = {0.25, 300.0, 30.0, 1.0,
+                                         ChordTestbed::kLookupTimeoutS + 1.0, 60.0};
+// Over UDP the same shape runs in wall-clock seconds, sized for the snappy
+// timers below: the tail spans three finger-fix rounds, so a small loopback
+// ring has both its successors and its fingers right before the first
+// lookup, and the drain leaves room for one lookup retry.
+constexpr ChordPacing kUdpChordPacing = {0.05, 6.0, 1.0, 0.1,
+                                         ChordTestbed::kLookupRetryS + 1.0, 8.0};
+
+// Chord on either backend rides the evaluation workload: staggered joins,
+// lookups with retries audited against the live ground truth, and
+// (optionally) Bamboo-style churn whose replacements join as new identities.
+ScenarioReport RunChord(const ScenarioConfig& config, ScenarioNet* net) {
   ScenarioReport report;
   report.nodes = config.nodes;
-  auto wall_start = std::chrono::steady_clock::now();
+  const bool sim = net->backend() == BackendKind::kSim;
+  const ChordPacing& pace = sim ? kSimChordPacing : kUdpChordPacing;
 
   TestbedConfig cfg;
-  cfg.num_nodes = config.nodes;
-  cfg.seed = config.seed;
-  cfg.shards = config.shards;
-  cfg.steal = config.steal;
-  cfg.loss_rate = config.loss_rate;
-  cfg.reliable = config.reliable;
-  // One registry/trace lane per shard plus the coordinator's. With more
-  // than one worker the engine runs one shard per topology domain.
-  size_t lanes = (config.shards > 1 ? cfg.topology.num_domains : 1) + 1;
-  std::unique_ptr<obs::Registry> registry;
-  if (config.metrics) {
-    registry = std::make_unique<obs::Registry>(lanes);
-  }
-  std::unique_ptr<obs::TraceLog> trace;
-  if (!config.trace_out.empty()) {
-    trace = std::make_unique<obs::TraceLog>(lanes);
-  }
-  cfg.metrics = registry.get();
-  cfg.trace = trace.get();
+  cfg.join_stagger_s = pace.join_stagger_s;
   cfg.watches = config.watches;
   cfg.sysstats_period_s = config.sysstats_period_s;
-  cfg.faults = config.faults;
-  if (config.nodes > 64) {
+  if (!sim) {
+    // Wall-clock timers snappy enough to form a ring within seconds. As in
+    // the Appendix-B defaults, a successor outlives one ping round but not
+    // one stabilization round, so a dead successor ages out instead of
+    // being gossiped back by every stabilization exchange.
+    cfg.chord.finger_fix_period_s = 2.0;
+    cfg.chord.stabilize_period_s = 1.5;
+    cfg.chord.ping_period_s = 0.5;
+    cfg.chord.succ_lifetime_s = 1.2;
+  } else if (config.nodes > 64) {
     // Scale profile: a freshly built large ring heals its successor
     // pointers about one step per stabilization round, so round length
     // dominates both convergence time and the event count spent on
@@ -410,39 +454,36 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
     cfg.chord.stabilize_period_s = 3.0;
     cfg.chord.finger_fix_period_s = 6.0;
   }
-  ChordTestbed tb(cfg);
-  // The fig3 settle recipe: staggered joins plus a 300-virtual-second tail
-  // so every node finishes stabilization before measurement starts (a
-  // shorter tail leaves the last joiners' successor lists racing the first
-  // lookups, which shows up as spurious inconsistency).
-  double settle = cfg.join_stagger_s * static_cast<double>(config.nodes) + 300.0;
-  tb.BuildAndSettle(settle);
+  ChordTestbed tb(cfg, net);
+  tb.BuildAndSettle(cfg.join_stagger_s * static_cast<double>(config.nodes) +
+                    pace.settle_tail_s);
   // Concurrent joins leave the young ring with successor pointers that
   // stabilization repairs roughly one position per round — a wave that
   // takes more rounds the bigger the fleet. Keep settling until the ring
   // is consistent; a healing ring improves every window, so a plateau
   // means this configuration (e.g. heavy loss without the reliable stack)
   // has reached whatever consistency it is going to reach.
-  double extend_cap = 30.0 * static_cast<double>(config.nodes);
+  const double step = pace.extend_step_s;
+  double extend_cap = step * static_cast<double>(config.nodes);
   double extended = 0;
   double best_ring = tb.RingConsistencyFraction();
   double stalled_for = 0;
   // "Progress" must be a healing wave, not noise: at least one node's
   // pointer (or half a percent of the fleet) fixed per window. A lossy
   // best-effort ring creeps slower than that forever — treat it as
-  // plateaued rather than simulating the full cap.
+  // plateaued rather than running the full cap.
   double min_progress =
       std::max(0.005, 1.0 / static_cast<double>(config.nodes));
-  while (best_ring < 0.95 && extended < extend_cap && stalled_for < 300.0) {
-    tb.RunFor(30.0);
-    extended += 30.0;
+  while (best_ring < 0.95 && extended < extend_cap && stalled_for < 10.0 * step) {
+    net->Run(step);
+    extended += step;
     double ring = tb.RingConsistencyFraction();
     if (ring >= best_ring + min_progress) {
       best_ring = ring;
       stalled_for = 0;
     } else {
       best_ring = std::max(best_ring, ring);
-      stalled_for += 30.0;
+      stalled_for += step;
     }
   }
 
@@ -451,47 +492,39 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
   // axes (asymmetric loss, corruption, slow nodes, byzantine rules) were
   // live the whole time — they stress join/stabilization too.
   double pre_fault_ring = tb.RingConsistencyFraction();
-  tb.ArmFaults();
+  net->ArmFaults();
   if (!config.faults.partitions.empty()) {
     // Drive straight through every scheduled window, then probe recovery:
     // virtual seconds from the last heal until ring consistency is back to
     // its pre-partition level. Partitioned minorities drop their severed
     // successors (succ TTL) and re-join through the landmark machinery
     // once the cut heals, so recovery takes real stabilization rounds.
-    double transitions = config.faults.LastTransitionS();
-    tb.RunFor(transitions);
-    double heal_instant = tb.Now();
+    net->Run(config.faults.LastTransitionS());
+    double heal_instant = net->Now();
     double target = std::min(0.95, pre_fault_ring);
     double cap = 180.0 + static_cast<double>(config.nodes);
-    while (tb.Now() - heal_instant < cap) {
-      tb.RunFor(1.0);
+    while (net->Now() - heal_instant < cap) {
+      net->Run(1.0);
       if (tb.RingConsistencyFraction() >= target) {
-        report.partition_heal_s = tb.Now() - heal_instant;
+        report.partition_heal_s = net->Now() - heal_instant;
         break;
       }
     }
   }
 
-  ChurnConfig churn_cfg;
-  churn_cfg.session_mean_s = config.churn_session_mean_s;
-  churn_cfg.seed = config.seed ^ 0xC0FFEE;
-  std::unique_ptr<ChurnDriver> churn;
-  if (config.churn_session_mean_s > 0) {
-    churn = std::make_unique<ChurnDriver>(&tb, churn_cfg);
-    churn->Start();
-  }
+  std::unique_ptr<ChurnDriver> churn =
+      StartChurn(config, net, [&tb](size_t slot) { return tb.ReplaceNode(slot); });
 
-  double t0 = tb.Now();
-  // One lookup per second, then a grace window for stragglers/retries.
+  double t0 = net->Now();
+  // Paced lookups, then a drain window for stragglers and retries.
   for (int i = 0; i < config.lookups; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net->Run(pace.lookup_gap_s);
   }
-  double duration = config.duration_s > 0 ? config.duration_s : 60.0;
-  double grace = std::max(cfg.lookup_timeout_s + 1.0,
-                          duration - static_cast<double>(config.lookups));
-  tb.RunFor(grace);
-  report.ran_for_s = tb.Now() - t0;
+  double duration = config.duration_s > 0 ? config.duration_s : pace.default_duration_s;
+  net->Run(std::max(pace.min_drain_s,
+                    duration - pace.lookup_gap_s * static_cast<double>(config.lookups)));
+  report.ran_for_s = net->Now() - t0;
 
   report.lookups_issued = tb.lookups().size();
   for (const ChordTestbed::LookupRecord& rec : tb.lookups()) {
@@ -499,7 +532,6 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
     report.lookups_consistent += rec.consistent ? 1 : 0;
   }
   report.ring_consistency = tb.RingConsistencyFraction();
-  report.churn_deaths = churn ? churn->deaths() : 0;
   report.wrong_lookup_rate =
       report.lookups_completed == 0
           ? 0
@@ -518,10 +550,7 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
   os << "lookups: " << report.lookups_completed << "/" << report.lookups_issued
      << " completed, " << report.lookups_consistent << " consistent\n"
      << "ring consistency: " << report.ring_consistency << "\n";
-  if (churn) {
-    os << "churn deaths: " << report.churn_deaths << " (mean session "
-       << config.churn_session_mean_s << "s)\n";
-  }
+  AppendChurnDetail(config, churn.get(), &report, &os);
   if (!config.faults.partitions.empty()) {
     if (report.partition_heal_s >= 0) {
       os << "partition probe: ring recovered " << report.partition_heal_s
@@ -531,99 +560,12 @@ ScenarioReport RunChordSim(const ScenarioConfig& config) {
     }
   }
   if (config.faults.byzantine_fraction > 0) {
-    os << "byzantine: " << tb.faults()->CountByzantine(config.nodes) << "/"
+    os << "byzantine: " << net->faults()->CountByzantine(config.nodes) << "/"
        << config.nodes << " nodes answer lookups dishonestly, wrong-lookup rate "
        << report.wrong_lookup_rate << "\n";
   }
-  FinishTransportReport(config, tb.TotalReliableStats(), &report, &os);
-  report.shards = tb.engine()->num_workers();
-  report.sim_events = tb.EventsRun();
-  report.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                wall_start)
-                      .count();
-  report.detail = os.str();
-  FinishObsReport(config, registry.get(), trace.get(), &report);
-  return report;
-}
-
-// Chord over real UDP sockets: one process, N loopback endpoints, snappy
-// timers so a ring forms within seconds of wall-clock time.
-ScenarioReport RunChordUdp(const ScenarioConfig& config, ScenarioNet* net) {
-  ScenarioReport report;
-  report.nodes = config.nodes;
-
-  ChordConfig chord;
-  chord.finger_fix_period_s = 2.0;
-  chord.stabilize_period_s = 1.5;
-  chord.ping_period_s = 0.8;
-  chord.succ_lifetime_s = 1.7;
-
-  std::vector<std::unique_ptr<ChordNode>> nodes;
-  for (size_t i = 0; i < net->size(); ++i) {
-    P2NodeConfig nc;
-    nc.executor = net->executor(i);
-    nc.transport = net->transport(i);
-    nc.seed = config.seed + i;
-    WireNodeObs(config, net, &nc);
-    nodes.push_back(std::make_unique<ChordNode>(nc, chord,
-                                                i == 0 ? "" : net->addr(0)));
-    nodes.back()->Start();
-  }
-
-  double duration = config.duration_s > 0 ? config.duration_s : 15.0;
-  double t0 = net->Now();
-  net->Run(duration * 0.7);
-
-  size_t completed = 0;
-  for (int i = 0; i < config.lookups; ++i) {
-    ChordNode* origin = nodes[static_cast<size_t>(i) % nodes.size()].get();
-    Uint160 key = Uint160::HashOf("p2run-key-" + std::to_string(i));
-    Uint160 ev = origin->Lookup(key);
-    origin->OnLookupResult([ev, &completed](const ChordNode::LookupResult& r) {
-      if (r.event_id == ev) {
-        ++completed;
-      }
-    });
-  }
-  net->Run(duration * 0.3 + 2.0);
-  report.ran_for_s = net->Now() - t0;
-
-  // Ring consistency against the id-sorted ground truth.
-  std::vector<std::pair<Uint160, std::string>> ring;
-  for (auto& n : nodes) {
-    ring.emplace_back(n->id(), n->addr());
-  }
-  std::sort(ring.begin(), ring.end());
-  size_t agree = 0;
-  for (auto& n : nodes) {
-    auto best = n->BestSuccessor();
-    if (!best.has_value()) {
-      continue;
-    }
-    size_t pos = 0;
-    while (pos < ring.size() && !(ring[pos].first == n->id())) {
-      ++pos;
-    }
-    const auto& truth = ring[(pos + 1) % ring.size()];
-    agree += best->second == truth.second ? 1 : 0;
-  }
-  report.lookups_issued = static_cast<size_t>(config.lookups);
-  report.lookups_completed = completed;
-  report.lookups_consistent = completed;  // no ground-truth audit over UDP
-  report.ring_consistency =
-      nodes.empty() ? 0
-                    : static_cast<double>(agree) / static_cast<double>(nodes.size());
-  report.converged = completed == report.lookups_issued && report.ring_consistency >= 0.75;
-
-  std::ostringstream os;
-  os << "lookups: " << completed << "/" << report.lookups_issued << " completed\n"
-     << "ring consistency: " << report.ring_consistency << "\n";
   FinishTransportReport(config, net->TotalReliableStats(), &report, &os);
   report.detail = os.str();
-
-  for (auto& n : nodes) {
-    n->Stop();
-  }
   return report;
 }
 
@@ -650,9 +592,12 @@ ScenarioReport RunGossip(const ScenarioConfig& config, ScenarioNet* net) {
     nodes.back()->Start();
   }
 
+  // Measurement starts with the fleet: timed fault windows count from here.
+  net->ArmFaults();
+
   // Under churn the dead node's slot is revived at the same address and
   // rejoins through its ring predecessor.
-  FleetChurn churn = StartFleetChurn(
+  std::unique_ptr<ChurnDriver> churn = StartFleetChurn(
       config, net,
       [&nodes](size_t slot) {
         if (nodes[slot] != nullptr) {
@@ -691,12 +636,12 @@ ScenarioReport RunGossip(const ScenarioConfig& config, ScenarioNet* net) {
   }
   report.mean_view_size = nodes.empty() ? 0 : view_sum / static_cast<double>(nodes.size());
   report.converged =
-      FullViewsConverged(full_views, net->size(), static_cast<bool>(churn));
+      FullViewsConverged(full_views, net->size(), churn != nullptr);
 
   std::ostringstream os;
   os << "full membership views: " << full_views << "/" << net->size()
      << " (mean view " << report.mean_view_size << ")\n";
-  AppendChurnDetail(config, churn, &report, &os);
+  AppendChurnDetail(config, churn.get(), &report, &os);
   FinishTransportReport(config, net->TotalReliableStats(), &report, &os);
   report.detail = os.str();
 
@@ -737,8 +682,11 @@ ScenarioReport RunNarada(const ScenarioConfig& config, ScenarioNet* net) {
     nodes.back()->Start();
   }
 
+  // Measurement starts with the fleet: timed fault windows count from here.
+  net->ArmFaults();
+
   // Under churn the revived slot re-meshes with both chain neighbors.
-  FleetChurn churn = StartFleetChurn(
+  std::unique_ptr<ChurnDriver> churn = StartFleetChurn(
       config, net,
       [&nodes](size_t slot) {
         if (nodes[slot] != nullptr) {
@@ -784,12 +732,12 @@ ScenarioReport RunNarada(const ScenarioConfig& config, ScenarioNet* net) {
   }
   report.mean_view_size = nodes.empty() ? 0 : view_sum / static_cast<double>(nodes.size());
   report.converged =
-      FullViewsConverged(full_views, net->size(), static_cast<bool>(churn));
+      FullViewsConverged(full_views, net->size(), churn != nullptr);
 
   std::ostringstream os;
   os << "full live views: " << full_views << "/" << net->size() << " (mean view "
      << report.mean_view_size << ")\n";
-  AppendChurnDetail(config, churn, &report, &os);
+  AppendChurnDetail(config, churn.get(), &report, &os);
   FinishTransportReport(config, net->TotalReliableStats(), &report, &os);
   report.detail = os.str();
 
@@ -830,12 +778,15 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
     nodes.back()->Start();
   }
 
+  // Measurement starts with the fleet: timed fault windows count from here.
+  net->ArmFaults();
+
   // Under churn the dead node's slot is revived at the same address and
   // relinked into the ring. Survivors withdraw every route through (or to)
   // the dead next-hop immediately — path-vector's explicit withdrawal —
   // so the fleet re-converges within advertisement rounds instead of
   // waiting a full route lifetime per wave of staleness.
-  FleetChurn churn = StartFleetChurn(
+  std::unique_ptr<ChurnDriver> churn = StartFleetChurn(
       config, net,
       [&nodes, net](size_t slot) {
         if (nodes[slot] == nullptr) {
@@ -882,7 +833,7 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
   // Under churn, recently replaced nodes are still re-learning routes when
   // the run ends; hold the fleet to the same 3/4 bar as the view overlays.
   report.converged =
-      FullViewsConverged(full_tables, net->size(), static_cast<bool>(churn));
+      FullViewsConverged(full_tables, net->size(), churn != nullptr);
 
   std::ostringstream os;
   os << "full routing tables: " << full_tables << "/" << net->size()
@@ -966,7 +917,7 @@ ScenarioReport RunPathVector(const ScenarioConfig& config, ScenarioNet* net) {
     }
   }
 
-  AppendChurnDetail(config, churn, &report, &os);
+  AppendChurnDetail(config, churn.get(), &report, &os);
   FinishTransportReport(config, net->TotalReliableStats(), &report, &os);
   report.detail = os.str();
 
@@ -984,14 +935,6 @@ ScenarioReport RunScenario(const ScenarioConfig& config) {
   ScenarioReport report;
   if (config.nodes < 2) {
     report.detail = "scenario needs at least 2 nodes\n";
-    return report;
-  }
-  // Churn coverage: gossip/narada/pathvector churn on both backends (the
-  // generic ChurnTarget path — under udp, Revive re-binds the port); chord
-  // churn rides the sim testbed only.
-  if (config.churn_session_mean_s > 0 && config.overlay == OverlayKind::kChord &&
-      config.backend != BackendKind::kSim) {
-    report.detail = "chord churn profiles need --sim\n";
     return report;
   }
   if (config.shards < 1) {
@@ -1015,38 +958,28 @@ ScenarioReport RunScenario(const ScenarioConfig& config) {
     return report;
   }
 
-  if (config.overlay == OverlayKind::kChord && config.backend == BackendKind::kSim) {
-    return RunChordSim(config);
-  }
-
   auto wall_start = std::chrono::steady_clock::now();
   // Registry/trace outlive the net (nodes and shard workers write into
   // them until teardown): declare them first so they destruct last.
   std::unique_ptr<obs::Registry> registry;
   std::unique_ptr<obs::TraceLog> trace;
   ScenarioNet net(config.backend, config.nodes, config.seed, config.loss_rate,
-                  config.udp_base_port, config.reliable, ReliableConfig{},
-                  config.shards, config.faults, config.steal);
+                  config.udp_base_port, config.reliable, config.shards, config.faults,
+                  config.steal);
   if (!net.ok()) {
     report.detail = "failed to bring up transports (UDP bind failure?)\n";
     return report;
   }
-  size_t lanes = net.metrics_lanes();
   if (config.metrics) {
-    registry = std::make_unique<obs::Registry>(lanes);
-    registry->AddCollector(
-        [pool = net.channel_pool()](obs::Snapshot* snap) { pool->Collect(snap); });
-    net.set_metrics(registry.get());
+    registry = std::make_unique<obs::Registry>(net.metrics_lanes());
   }
   if (!config.trace_out.empty()) {
-    trace = std::make_unique<obs::TraceLog>(lanes);
+    trace = std::make_unique<obs::TraceLog>(net.metrics_lanes());
   }
-  if (net.sim_engine() != nullptr && (registry != nullptr || trace != nullptr)) {
-    net.sim_engine()->SetObs(registry.get(), trace.get());
-  }
+  net.SetObs(registry.get(), trace.get());
   switch (config.overlay) {
     case OverlayKind::kChord:
-      report = RunChordUdp(config, &net);
+      report = RunChord(config, &net);
       break;
     case OverlayKind::kGossip:
       report = RunGossip(config, &net);

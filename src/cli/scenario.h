@@ -52,9 +52,10 @@ struct ScenarioConfig {
   // --udp). 0 picks an overlay/backend-specific default.
   double duration_s = 0;
   // Mean exponential node session time in seconds; 0 disables churn.
-  // Churn is supported on the sim backend for chord, gossip and narada
-  // (Bamboo methodology: dead nodes are replaced immediately, population
-  // stays constant).
+  // Every overlay churns on both backends (Bamboo methodology: dead nodes
+  // are replaced immediately, population stays constant). A chord
+  // replacement joins under a fresh address, so with a new Chord id; the
+  // other overlays revive the dead node's address.
   double churn_session_mean_s = 0;
   // Chord only: number of lookups issued during the measurement phase.
   int lookups = 20;
@@ -163,16 +164,19 @@ ScenarioReport RunScenario(const ScenarioConfig& config);
 // are empty at plan time, so every estimate is a static spec prior).
 std::string ExplainOverlayPlan(OverlayKind kind);
 
-// ScenarioNet: the backend-owning node fabric that RunScenario and the
-// examples build fleets on. Owns the executors — a (possibly sharded)
-// virtual-time ShardedSim or a poll()-based UdpLoop — plus `nodes`
-// transports addressed "n0".."nK" (sim) or "127.0.0.1:port" (udp).
+// ScenarioNet: the backend-owning node fabric that RunScenario, the
+// evaluation benches (through ChordTestbed) and the examples build fleets
+// on. Owns the executors — a (possibly sharded) virtual-time ShardedSim
+// over the transit-stub SimNetwork, or a poll()-based UdpLoop — plus one
+// endpoint per node slot, addressed "n0".."nK" (sim) or "127.0.0.1:port"
+// (udp), each with its optional loss filter and reliable channel; the
+// fault injector and slow-node executors; and kill/revive.
 class ScenarioNet {
  public:
   ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
               double loss_rate = 0, uint16_t udp_base_port = 0,
-              bool reliable = false, ReliableConfig reliable_config = ReliableConfig{},
-              size_t shards = 1, FaultPlan faults = FaultPlan{}, bool steal = true);
+              bool reliable = false, size_t shards = 1, FaultPlan faults = FaultPlan{},
+              bool steal = true);
   ~ScenarioNet();
   ScenarioNet(const ScenarioNet&) = delete;
   ScenarioNet& operator=(const ScenarioNet&) = delete;
@@ -181,18 +185,25 @@ class ScenarioNet {
   bool ok() const { return ok_; }
 
   BackendKind backend() const { return backend_; }
+  uint64_t seed() const { return seed_; }
   size_t size() const { return addrs_.size(); }
   // Worker threads driving the fleet (what --shards requested, capped by
   // the shard count; 1 for udp).
   size_t shards() const;
-  // Registry/trace lanes a fleet on this net needs: one per simulator
-  // shard plus the coordinator (2 for udp: the loop plus a merge lane).
-  size_t metrics_lanes() const;
+  // Simulator shards: one per topology domain with more than one worker,
+  // else 1 (1 for udp). Per-shard measurement lanes key off this.
+  size_t num_shards() const;
+  // Registry/trace lanes a fleet on this net needs: one per shard plus the
+  // coordinator (2 for udp: the loop plus a merge lane).
+  size_t metrics_lanes() const { return num_shards() + 1; }
   // The executor node i must run on (its shard's loop under sim, the one
   // UdpLoop under udp). Everything a node owns — its timers, its reliable
   // channel — must be scheduled here. When the fault plan marks slot i
   // slow, this is the slot's dilating wrapper (same shard underneath).
   Executor* executor(size_t i);
+  // Node i's shard loop without slow-node dilation (the UdpLoop under
+  // udp): harness timers that keep real cadence, such as lookup retries.
+  Executor* shard_executor(size_t i);
   // The fleet-control executor: churn drivers and other cross-node actions
   // schedule here so they run with every shard parked (the sharded engine's
   // control timeline; the UdpLoop under udp).
@@ -208,15 +219,24 @@ class ScenarioNet {
   // Simulator events executed so far (0 for the udp backend).
   uint64_t SimEventsRun() const;
 
+  // Fixes the fault plan's time base at the current time and schedules its
+  // partition/spike transitions on the control timeline, so
+  // "--partition 10:30:0" forms 10 seconds after this call. Runners call
+  // it once, when their measurement starts; no-op without a fault plan.
+  void ArmFaults();
+
   // Simulates a crash of endpoint i: its socket/registration goes away and
   // datagrams addressed to it vanish. Destroy the node using the transport
   // first.
   void Kill(size_t i);
 
-  // Recreates a killed endpoint at the same address/topology slot (churn
-  // replacement). Under udp the original port is re-bound, so peers keep
-  // addressing the revived node at the address they already know.
-  void Revive(size_t i);
+  // Recreates a killed endpoint at the same topology slot (churn
+  // replacement). By default it keeps its address: under udp the original
+  // port is re-bound, so peers keep addressing the revived node at the
+  // address they already know. With `fresh_address` the endpoint comes
+  // back as a new identity instead: the next unused "n<k>" under sim, a
+  // kernel-picked port under udp.
+  void Revive(size_t i, bool fresh_address = false);
 
   // Non-null only when the fleet runs with reliable = true.
   ReliableChannel* channel(size_t i) { return channels_.empty() ? nullptr : channels_[i].get(); }
@@ -224,18 +244,13 @@ class ScenarioNet {
   ReliableChannelStats TotalReliableStats() const;
   // Merged ::sendto failure counters (udp backend; all-zero under sim).
   SendFailureCounters TotalSendFailures() const;
-  // Fleet channel aggregation (retired endpoints + live source); register
-  // `pool()->Collect` as a registry collector to export the counters.
-  obs::ChannelStatsPool* channel_pool() { return &pool_; }
-
-  // Metrics registry the fleet's nodes report into (may stay null). The
-  // runner sets this before building nodes; churn rebuilds read it back.
-  void set_metrics(obs::Registry* m) {
-    metrics_ = m;
-    if (injector_ != nullptr && m != nullptr) {
-      injector_->BindObs(m);
-    }
-  }
+  // Observability for the whole fleet (either may be null; both must
+  // outlive the net's runs): the registry the fleet's nodes report into,
+  // which also receives the fault counters and the fleet channel totals,
+  // and the trace of shard windows. Set before building nodes; churn
+  // rebuilds read metrics() back. The channel totals are collected from
+  // this net, so snapshot the registry only while the net lives.
+  void SetObs(obs::Registry* metrics, obs::TraceLog* trace);
   obs::Registry* metrics() { return metrics_; }
 
   // Non-null when the fleet runs with a non-empty fault plan (sim only).
@@ -256,8 +271,8 @@ class ScenarioNet {
   uint64_t seed_;
   double loss_rate_;
   bool reliable_;
-  ReliableConfig reliable_config_;
   uint64_t revive_counter_ = 0;
+  uint64_t fresh_addr_counter_ = 0;  // "n<k>" addresses handed out under sim
   FaultPlan faults_;
   // Declared before the engines: shard threads consult the injector via
   // SimNetwork until they park for the last time.

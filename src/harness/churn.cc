@@ -3,15 +3,15 @@
 namespace p2 {
 
 void ChurnDriver::Start() {
-  for (size_t i = 0; i < target_->churn_slots(); ++i) {
+  for (size_t i = 0; i < slots_; ++i) {
     ScheduleDeath(i);
   }
 }
 
 void ChurnDriver::ScheduleDeath(size_t slot) {
   double lifetime = rng_.NextExponential(config_.session_mean_s);
-  target_->churn_executor()->ScheduleAfter(lifetime, [this, slot]() {
-    if (target_->ChurnReplace(slot)) {
+  executor_->ScheduleAfter(lifetime, [this, slot]() {
+    if (replace_(slot)) {
       ++deaths_;
     }
     ScheduleDeath(slot);

@@ -3,9 +3,9 @@
 // mean; when a session ends the node is destroyed and immediately replaced
 // by a fresh node, keeping the population constant.
 //
-// The driver churns anything that exposes kill/replace slots through the
-// ChurnTarget interface: the ChordTestbed implements it directly, and the
-// scenario layer adapts gossip/narada fleets via FunctionChurnTarget.
+// The driver churns any fleet of fixed node slots: the caller supplies the
+// executor deaths are scheduled on, the slot count and the function that
+// kills and replaces one slot's node.
 #ifndef P2_HARNESS_CHURN_H_
 #define P2_HARNESS_CHURN_H_
 
@@ -18,38 +18,6 @@
 
 namespace p2 {
 
-// Anything with a fixed set of node slots that can be killed and replaced.
-class ChurnTarget {
- public:
-  virtual ~ChurnTarget() = default;
-
-  // The loop death events are scheduled on.
-  virtual Executor* churn_executor() = 0;
-  // Number of churnable slots (population size).
-  virtual size_t churn_slots() const = 0;
-  // Kills the node in `slot` and replaces it with a fresh one. Returns
-  // false if the slot could not be churned (e.g. last live node).
-  virtual bool ChurnReplace(size_t slot) = 0;
-};
-
-// Adapter for fleets that are not ChurnTargets themselves: the scenario
-// runners wrap their node vectors in one of these.
-class FunctionChurnTarget : public ChurnTarget {
- public:
-  FunctionChurnTarget(Executor* executor, size_t slots,
-                      std::function<bool(size_t)> replace)
-      : executor_(executor), slots_(slots), replace_(std::move(replace)) {}
-
-  Executor* churn_executor() override { return executor_; }
-  size_t churn_slots() const override { return slots_; }
-  bool ChurnReplace(size_t slot) override { return replace_(slot); }
-
- private:
-  Executor* executor_;
-  size_t slots_;
-  std::function<bool(size_t)> replace_;
-};
-
 struct ChurnConfig {
   double session_mean_s = 3840;  // 64 minutes
   uint64_t seed = 7;
@@ -57,12 +25,20 @@ struct ChurnConfig {
 
 class ChurnDriver {
  public:
-  ChurnDriver(ChurnTarget* target, ChurnConfig config)
-      : target_(target), config_(config), rng_(config.seed) {}
+  // `replace(slot)` kills the node in `slot` and replaces it with a fresh
+  // one; it returns false if the slot could not be churned (e.g. it holds
+  // the last live node).
+  ChurnDriver(Executor* executor, size_t slots, std::function<bool(size_t)> replace,
+              ChurnConfig config)
+      : executor_(executor),
+        slots_(slots),
+        replace_(std::move(replace)),
+        config_(config),
+        rng_(config.seed) {}
 
-  // Schedules an exponential death time for every current slot. Replacement
-  // nodes get their own death scheduled automatically, so churn continues
-  // until the target stops running.
+  // Schedules an exponential death time for every slot. Replacement nodes
+  // get their own death scheduled automatically, so churn continues until
+  // the executor stops running.
   void Start();
 
   uint64_t deaths() const { return deaths_; }
@@ -70,7 +46,9 @@ class ChurnDriver {
  private:
   void ScheduleDeath(size_t slot);
 
-  ChurnTarget* target_;
+  Executor* executor_;
+  size_t slots_;
+  std::function<bool(size_t)> replace_;
   ChurnConfig config_;
   Rng rng_;
   uint64_t deaths_ = 0;

@@ -113,8 +113,9 @@ class FaultInjector {
   // Fixes the time base for the plan's timed windows: a partition with
   // start=10 forms at virtual time base+10. Until Arm() runs, partitions
   // and spikes are inactive (untimed axes — asymmetric loss, corruption —
-  // are live from the first send). The chord testbed arms after settle so
-  // partition schedules are relative to measurement start.
+  // are live from the first send). ScenarioNet::ArmFaults arms when a
+  // runner's measurement starts (for chord, after settle), so partition
+  // schedules are relative to measurement start.
   void Arm(double base_time);
   bool armed() const { return armed_; }
   double base_time() const { return base_time_; }

@@ -1,85 +1,60 @@
 #include "src/harness/workload.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "src/harness/faults.h"
 #include "src/runtime/logging.h"
 
 namespace p2 {
 
-ChordTestbed::ChordTestbed(TestbedConfig config)
-    : config_(config),
-      engine_(config.shards),
-      network_(&engine_, Topology(config.topology), config.seed ^ 0x5EED),
-      rng_(config.seed),
-      boot_seed_rng_(config.seed ^ 0xB007) {
-  engine_.SetStealing(config.steal);
-  network_.set_loss_rate(config.loss_rate);
-  if (config.faults.any()) {
-    injector_ = std::make_unique<FaultInjector>(config.faults, config.seed ^ 0xFA17ULL);
-    network_.SetFaults(injector_.get());
-    injector_->BindObs(config.metrics);
-  }
-  pending_.resize(engine_.num_shards());
-  hop_arrivals_.resize(engine_.num_shards());
-  if (config.metrics != nullptr) {
-    for (size_t s = 0; s < engine_.num_shards(); ++s) {
-      wrong_lookup_.push_back(config.metrics->GetCounter(s, "p2_lookup_wrong_total"));
+namespace {
+
+constexpr int kLookupMaxRetries = 4;
+// Cadence of the control-timeline refresh of the bootstrap snapshot the
+// per-node landmark providers draw from.
+constexpr double kBootstrapRefreshS = 5.0;
+
+}  // namespace
+
+ChordTestbed::ChordTestbed(TestbedConfig config, ScenarioNet* net)
+    : config_(std::move(config)),
+      net_(net),
+      rng_(net->seed()),
+      boot_seed_rng_(net->seed() ^ 0xB007) {
+  pending_.resize(net->num_shards());
+  hop_arrivals_.resize(net->num_shards());
+  if (net->metrics() != nullptr) {
+    for (size_t s = 0; s < net->num_shards(); ++s) {
+      wrong_lookup_.push_back(net->metrics()->GetCounter(s, "p2_lookup_wrong_total"));
     }
-  }
-  engine_.SetObs(config.metrics, config.trace);
-  channel_pool_.SetLiveSource(
-      [this](ReliableChannelStats* total) {
-        for (const Slot& s : slots_) {
-          if (s.alive && s.channel != nullptr) {
-            total->MergeFrom(s.channel->Stats());
-          }
-        }
-      },
-      nullptr);
-  if (config.metrics != nullptr) {
-    config.metrics->AddCollector(
-        [this](obs::Snapshot* snap) { channel_pool_.Collect(snap); });
   }
 }
 
 ChordTestbed::~ChordTestbed() {
-  // Nodes reference channels which reference transports; destroy outermost
-  // layers first, slot by slot. (engine_ outlives slots_ by member order,
-  // so timer cancellation during teardown still has its wheels.)
+  // Nodes go first: their hooks write into the measurement lanes, which
+  // are declared after slots_ and so would otherwise be destroyed before
+  // them. The endpoints stay with the net.
   for (Slot& s : slots_) {
     s.p2.reset();
     s.baseline.reset();
-    s.channel.reset();
-    s.transport.reset();
   }
 }
 
-std::string ChordTestbed::NextAddr() { return "n" + std::to_string(addr_counter_++); }
-
 void ChordTestbed::MakeNode(size_t slot, const std::string& landmark) {
   Slot& s = slots_[slot];
-  s.addr = NextAddr();
-  s.id = Uint160::HashOf(s.addr);
-  s.shard = network_.ShardOf(s.topo_index);
+  const std::string& addr = net_->addr(slot);
+  s.id = Uint160::HashOf(addr);
   // Drawn from a separate stream so the node-seed sequence rng_ produces is
   // unchanged by the bootstrap machinery (keeps seeded experiments stable).
   s.boot_rng = std::make_unique<Rng>(boot_seed_rng_.NextU64());
-  s.transport = network_.MakeTransport(s.addr, s.topo_index);
-  Executor* executor = engine_.shard(s.shard);
-  if (injector_ != nullptr && injector_->IsSlowNode(slot)) {
-    // The wrapper survives churn replacements, so a slow slot's replacement
-    // inherits the same dilation (the hash picks slots, not incarnations).
-    if (s.dilated == nullptr) {
-      s.dilated = std::make_unique<DilatedExecutor>(executor, config_.faults.slow_factor);
-    }
-    executor = s.dilated.get();
-  }
-  Transport* endpoint = s.transport.get();
-  if (config_.reliable) {
-    s.channel = std::make_unique<ReliableChannel>(s.transport.get(), executor,
-                                                  config_.reliable_config,
-                                                  rng_.NextU64());
-    endpoint = s.channel.get();
+  Executor* executor = net_->executor(slot);
+  Transport* endpoint = net_->transport(slot);
+  if (net_->channel(slot) != nullptr) {
+    // The net seeds the slot's reliable channel itself, but one draw per
+    // reliable slot still precedes the node seed: the node seeds of every
+    // seeded reliable experiment are defined by this draw order.
+    rng_.NextU64();
   }
   if (config_.use_baseline) {
     s.baseline = std::make_unique<BaselineChordNode>(executor, endpoint,
@@ -87,15 +62,15 @@ void ChordTestbed::MakeNode(size_t slot, const std::string& landmark) {
                                                      landmark);
   } else {
     P2NodeConfig nc;
-    nc.addr = s.addr;
+    nc.addr = addr;
     nc.executor = executor;
     nc.transport = endpoint;
     nc.seed = rng_.NextU64();
-    nc.metrics = config_.metrics;
+    nc.metrics = net_->metrics();
     nc.watches = config_.watches;
     nc.sysstats_period_s = config_.sysstats_period_s;
     std::string extra;
-    if (injector_ != nullptr && injector_->IsByzantineNode(slot)) {
+    if (net_->faults() != nullptr && net_->faults()->IsByzantineNode(slot)) {
       extra = ByzantineChordRules();
     }
     s.p2 = std::make_unique<ChordNode>(nc, config_.chord, landmark, extra);
@@ -110,12 +85,30 @@ void ChordTestbed::MakeNode(size_t slot, const std::string& landmark) {
   } else {
     s.p2->SetLandmarkProvider(provider);
   }
-  snap_live_.push_back(s.addr);
+  snap_live_.push_back(addr);
   HookMeasurement(slot);
 }
 
+void ChordTestbed::StartNode(size_t slot) {
+  if (config_.use_baseline) {
+    slots_[slot].baseline->Start();
+  } else {
+    slots_[slot].p2->Start();
+  }
+}
+
+bool ChordTestbed::HasSuccessor(const Slot& s) const {
+  return config_.use_baseline ? !s.baseline->Successors().empty()
+                              : !s.p2->Successors().empty();
+}
+
+std::optional<std::pair<Uint160, std::string>> ChordTestbed::BestSuccessor(
+    const Slot& s) const {
+  return config_.use_baseline ? s.baseline->BestSuccessor() : s.p2->BestSuccessor();
+}
+
 std::string ChordTestbed::SnapshotBootstrap(size_t slot) {
-  const std::string& self = slots_[slot].addr;
+  const std::string& self = net_->addr(slot);
   Rng* rng = slots_[slot].boot_rng.get();
   auto pick = [&](const std::vector<std::string>& pool) -> std::string {
     if (pool.empty()) {
@@ -139,20 +132,15 @@ std::string ChordTestbed::SnapshotBootstrap(size_t slot) {
 
 void ChordTestbed::RefreshJoinedSnapshot() {
   snap_joined_.clear();
-  for (const Slot& s : slots_) {
-    if (!s.alive) {
-      continue;
-    }
-    bool has_succ = config_.use_baseline ? !s.baseline->Successors().empty()
-                                         : !s.p2->Successors().empty();
-    if (has_succ) {
-      snap_joined_.push_back(s.addr);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].alive && HasSuccessor(slots_[i])) {
+      snap_joined_.push_back(net_->addr(i));
     }
   }
 }
 
 void ChordTestbed::ScheduleBootstrapRefresh() {
-  engine_.control()->ScheduleAfter(config_.bootstrap_refresh_s, [this]() {
+  net_->control_executor()->ScheduleAfter(kBootstrapRefreshS, [this]() {
     RefreshJoinedSnapshot();
     ScheduleBootstrapRefresh();
   });
@@ -161,71 +149,53 @@ void ChordTestbed::ScheduleBootstrapRefresh() {
 void ChordTestbed::HookMeasurement(size_t slot) {
   Slot& s = slots_[slot];
   size_t shard = s.shard;
-  auto on_result = [this, shard](const Uint160& key, const std::string& addr,
-                                 const Uint160& ev) {
-    OnLookupResult(shard, key, addr, ev);
+  Executor* clock = net_->shard_executor(slot);
+  auto on_result = [this, shard, clock](const Uint160& key, const std::string& addr,
+                                        const Uint160& ev) {
+    OnLookupResult(shard, clock->Now(), key, addr, ev);
   };
   if (config_.use_baseline) {
     s.baseline->OnLookupResult([on_result](const BaselineChordNode::LookupResult& r) {
       on_result(r.key, r.successor_addr, r.event_id);
     });
-    s.baseline->OnLookupSeen([this, shard](const Uint160& event) {
-      hop_arrivals_[shard][event.Low64()].push_back(engine_.shard(shard)->Now());
+    s.baseline->OnLookupSeen([this, shard, clock](const Uint160& event) {
+      hop_arrivals_[shard][event.Low64()].push_back(clock->Now());
     });
   } else {
     s.p2->OnLookupResult([on_result](const ChordNode::LookupResult& r) {
       on_result(r.key, r.successor_addr, r.event_id);
     });
-    s.p2->node()->Subscribe("lookup", [this, shard](const TuplePtr& t) {
+    s.p2->node()->Subscribe("lookup", [this, shard, clock](const TuplePtr& t) {
       if (t->size() >= 4 && t->field(3).type() == ValueType::kId) {
-        hop_arrivals_[shard][t->field(3).AsId().Low64()].push_back(
-            engine_.shard(shard)->Now());
+        hop_arrivals_[shard][t->field(3).AsId().Low64()].push_back(clock->Now());
       }
     });
   }
 }
 
 void ChordTestbed::BuildAndSettle(double settle_deadline_s) {
-  slots_.resize(config_.num_nodes);
-  for (size_t i = 0; i < config_.num_nodes; ++i) {
-    slots_[i].topo_index = i;
+  slots_.resize(net_->size());
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    slots_[i].shard = net_->shard_executor(i)->shard_index();
   }
   // The first node forms the ring; the rest join through it, staggered.
   // Joins create nodes and mutate fleet-wide state, so they run as control
   // tasks: at window barriers, on the coordinator thread.
   MakeNode(0, "");
-  if (config_.use_baseline) {
-    slots_[0].baseline->Start();
-  } else {
-    slots_[0].p2->Start();
-  }
-  const std::string landmark = slots_[0].addr;
-  for (size_t i = 1; i < config_.num_nodes; ++i) {
+  StartNode(0);
+  const std::string landmark = net_->addr(0);
+  for (size_t i = 1; i < slots_.size(); ++i) {
     double at = config_.join_stagger_s * static_cast<double>(i);
-    engine_.control()->ScheduleAfter(at, [this, i, landmark]() {
+    net_->control_executor()->ScheduleAfter(at, [this, i, landmark]() {
       MakeNode(i, landmark);
-      if (config_.use_baseline) {
-        slots_[i].baseline->Start();
-      } else {
-        slots_[i].p2->Start();
-      }
+      StartNode(i);
     });
   }
   if (!refresh_scheduled_) {
     refresh_scheduled_ = true;
     ScheduleBootstrapRefresh();
   }
-  RunFor(settle_deadline_s);
-}
-
-void ChordTestbed::RunFor(double seconds) { engine_.RunFor(seconds); }
-
-void ChordTestbed::ArmFaults() {
-  if (injector_ == nullptr) {
-    return;
-  }
-  injector_->Arm(engine_.Now());
-  injector_->ScheduleTransitions(engine_.control());
+  net_->Run(settle_deadline_s);
 }
 
 void ChordTestbed::IssueRandomLookup() {
@@ -251,48 +221,45 @@ void ChordTestbed::IssueRandomLookup() {
   LookupRecord rec;
   rec.key = key;
   rec.event = event;
-  rec.origin = slots_[slot].addr;
+  rec.origin = net_->addr(slot);
   rec.origin_slot = slot;
-  rec.issued_at = engine_.Now();
+  rec.issued_at = net_->Now();
   pending_[slots_[slot].shard][event.Low64()] = lookups_.size();
   lookups_.push_back(rec);
   hops_finalized_ = false;
-  if (config_.lookup_retry_s > 0 && config_.lookup_max_retries > 0) {
-    ScheduleLookupRetry(lookups_.size() - 1);
-  }
+  ScheduleLookupRetry(lookups_.size() - 1);
 }
 
 void ChordTestbed::ScheduleLookupRetry(size_t record_index) {
-  // The retry fires on the issuing node's shard: it touches only that
-  // record, that node, and slot fields that change at barriers alone.
+  // The retry fires on the issuing node's shard loop, undilated even for a
+  // slow node: it touches only that record, that node, and slot state that
+  // changes at barriers alone.
   size_t slot = lookups_[record_index].origin_slot;
-  engine_.shard(slots_[slot].shard)->ScheduleAfter(config_.lookup_retry_s, [this,
-                                                                            record_index,
-                                                                            slot]() {
+  net_->shard_executor(slot)->ScheduleAfter(kLookupRetryS, [this, record_index, slot]() {
     LookupRecord& rec = lookups_[record_index];
-    if (rec.completed || rec.retries >= config_.lookup_max_retries) {
+    if (rec.completed || rec.retries >= kLookupMaxRetries) {
       return;
     }
     // Re-issue from the original node if it is still alive (a dead issuer
     // could never receive the answer anyway; a churn replacement reuses the
     // slot but not the address).
     Slot& s = slots_[slot];
-    if (!s.alive || s.addr != rec.origin) {
+    const std::string& addr = net_->addr(slot);
+    if (!s.alive || addr != rec.origin) {
       return;
     }
     ++rec.retries;
     if (config_.use_baseline) {
       s.baseline->RetryLookup(rec.key, rec.event);
     } else {
-      s.p2->node()->Inject(Tuple::Make(
-          "lookup", {Value::Addr(s.addr), Value::Id(rec.key), Value::Addr(s.addr),
-                     Value::Id(rec.event)}));
+      s.p2->node()->Inject(Tuple::Make("lookup", {Value::Addr(addr), Value::Id(rec.key),
+                                                  Value::Addr(addr), Value::Id(rec.event)}));
     }
     ScheduleLookupRetry(record_index);
   });
 }
 
-void ChordTestbed::OnLookupResult(size_t shard, const Uint160& key,
+void ChordTestbed::OnLookupResult(size_t shard, double now, const Uint160& key,
                                   const std::string& result_addr, const Uint160& event) {
   auto& pending = pending_[shard];
   auto it = pending.find(event.Low64());
@@ -305,7 +272,7 @@ void ChordTestbed::OnLookupResult(size_t shard, const Uint160& key,
     return;
   }
   rec.completed = true;
-  rec.latency_s = engine_.shard(shard)->Now() - rec.issued_at;
+  rec.latency_s = now - rec.issued_at;
   rec.result_addr = result_addr;
   rec.consistent = result_addr == GroundTruthSuccessor(key);
   if (!rec.consistent && shard < wrong_lookup_.size()) {
@@ -356,19 +323,19 @@ void ChordTestbed::ClearLookups() {
 }
 
 std::string ChordTestbed::GroundTruthSuccessor(const Uint160& key) const {
-  const Slot* best = nullptr;
+  size_t best = slots_.size();
   Uint160 best_dist;
-  for (const Slot& s : slots_) {
-    if (!s.alive) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (!slots_[i].alive) {
       continue;
     }
-    Uint160 dist = s.id - key;  // clockwise distance; 0 when id == key
-    if (best == nullptr || dist < best_dist) {
-      best = &s;
+    Uint160 dist = slots_[i].id - key;  // clockwise distance; 0 when id == key
+    if (best == slots_.size() || dist < best_dist) {
+      best = i;
       best_dist = dist;
     }
   }
-  return best == nullptr ? "" : best->addr;
+  return best == slots_.size() ? "" : net_->addr(best);
 }
 
 double ChordTestbed::RingConsistencyFraction() const {
@@ -379,12 +346,8 @@ double ChordTestbed::RingConsistencyFraction() const {
       continue;
     }
     ++n;
-    std::optional<std::pair<Uint160, std::string>> best =
-        config_.use_baseline ? s.baseline->BestSuccessor() : s.p2->BestSuccessor();
-    if (!best.has_value()) {
-      continue;
-    }
-    if (best->second == GroundTruthSuccessor(s.id + Uint160(1))) {
+    std::optional<std::pair<Uint160, std::string>> best = BestSuccessor(s);
+    if (best.has_value() && best->second == GroundTruthSuccessor(s.id + Uint160(1))) {
       ++ok;
     }
   }
@@ -399,30 +362,16 @@ double ChordTestbed::JoinedFraction() const {
       continue;
     }
     ++n;
-    bool has = config_.use_baseline ? !s.baseline->Successors().empty()
-                                    : !s.p2->Successors().empty();
-    if (has) {
-      ++joined;
-    }
+    joined += HasSuccessor(s) ? 1 : 0;
   }
   return n == 0 ? 0 : static_cast<double>(joined) / static_cast<double>(n);
 }
 
 uint64_t ChordTestbed::TotalMaintBytesOut() const {
   uint64_t total = dead_maint_bytes_;
-  for (const Slot& s : slots_) {
-    if (s.alive) {
-      total += s.transport->stats().maint_bytes_out;
-    }
-  }
-  return total;
-}
-
-uint64_t ChordTestbed::TotalLookupBytesOut() const {
-  uint64_t total = dead_lookup_bytes_;
-  for (const Slot& s : slots_) {
-    if (s.alive) {
-      total += s.transport->stats().lookup_bytes_out;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].alive) {
+      total += net_->transport(i)->stats().maint_bytes_out;
     }
   }
   return total;
@@ -458,20 +407,14 @@ double ChordTestbed::MeanFingerRows() const {
   return live == 0 ? 0 : total / static_cast<double>(live);
 }
 
-ReliableChannelStats ChordTestbed::TotalReliableStats() const {
-  return channel_pool_.TotalReliable();
-}
-
 std::vector<std::string> ChordTestbed::BestSuccessorByNode() {
   std::vector<std::string> out;
   out.reserve(slots_.size());
   for (const Slot& s : slots_) {
-    if (!s.alive) {
-      out.push_back("");
-      continue;
+    std::optional<std::pair<Uint160, std::string>> best;
+    if (s.alive) {
+      best = BestSuccessor(s);
     }
-    std::optional<std::pair<Uint160, std::string>> best =
-        config_.use_baseline ? s.baseline->BestSuccessor() : s.p2->BestSuccessor();
     out.push_back(best.has_value() ? best->second : "");
   }
   return out;
@@ -480,8 +423,8 @@ std::vector<std::string> ChordTestbed::BestSuccessorByNode() {
 std::vector<uint64_t> ChordTestbed::DeliveredByNode() const {
   std::vector<uint64_t> out;
   out.reserve(slots_.size());
-  for (const Slot& s : slots_) {
-    out.push_back(s.alive ? s.transport->stats().msgs_in : 0);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    out.push_back(slots_[i].alive ? net_->transport(i)->stats().msgs_in : 0);
   }
   return out;
 }
@@ -491,25 +434,21 @@ bool ChordTestbed::ReplaceNode(size_t slot) {
     return false;
   }
   Slot& s = slots_[slot];
+  const std::string dead = net_->addr(slot);
   // Account the dead node's traffic so cumulative totals stay monotone.
-  dead_maint_bytes_ += s.transport->stats().maint_bytes_out;
-  dead_lookup_bytes_ += s.transport->stats().lookup_bytes_out;
-  if (s.channel != nullptr) {
-    channel_pool_.Retire(s.channel->Stats());
-  }
+  dead_maint_bytes_ += net_->transport(slot)->stats().maint_bytes_out;
   s.p2.reset();
   s.baseline.reset();
-  s.channel.reset();
-  s.transport.reset();
+  net_->Kill(slot);
   s.alive = false;
   --live_count_;
   // Prune the dead address from the bootstrap snapshots so join retries
   // stop resolving to it before the next periodic refresh.
-  auto prune = [](std::vector<std::string>* v, const std::string& addr) {
-    v->erase(std::remove(v->begin(), v->end(), addr), v->end());
+  auto prune = [&dead](std::vector<std::string>* v) {
+    v->erase(std::remove(v->begin(), v->end(), dead), v->end());
   };
-  prune(&snap_live_, s.addr);
-  prune(&snap_joined_, s.addr);
+  prune(&snap_live_);
+  prune(&snap_joined_);
   // Pick a random live landmark for the replacement.
   std::vector<size_t> live;
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -517,13 +456,15 @@ bool ChordTestbed::ReplaceNode(size_t slot) {
       live.push_back(i);
     }
   }
-  const std::string landmark = slots_[live[rng_.NextBelow(live.size())]].addr;
-  MakeNode(slot, landmark);
-  if (config_.use_baseline) {
-    s.baseline->Start();
-  } else {
-    s.p2->Start();
+  const std::string landmark = net_->addr(live[rng_.NextBelow(live.size())]);
+  net_->Revive(slot, /*fresh_address=*/true);
+  if (net_->transport(slot) == nullptr) {
+    // A udp socket could not be bound; the slot stays dead.
+    P2_LOG(LogLevel::kWarn, "chord replacement for slot %zu has no endpoint", slot);
+    return true;
   }
+  MakeNode(slot, landmark);
+  StartNode(slot);
   return true;
 }
 

@@ -2,11 +2,10 @@
 // send-failure counters across a fleet, including channels whose nodes have
 // already been killed or churned out.
 //
-// Before this existed, every harness (ScenarioNet, ChordTestbed) kept its
-// own `dead_*` accumulators and hand-rolled the live+dead merge loop. The
-// pool owns the retired totals and takes a callback that folds in whatever
-// is currently live, so "total fleet stats" is one call — and the same
-// totals export into a metrics Registry snapshot as counters.
+// The pool owns the retired totals and takes a callback that folds in
+// whatever is currently live, so "total fleet stats" is one call — and the
+// same totals export into a metrics Registry snapshot as counters.
+// ScenarioNet keeps one per fleet.
 #ifndef P2_OBS_CHANNEL_STATS_H_
 #define P2_OBS_CHANNEL_STATS_H_
 

@@ -175,8 +175,10 @@ void ShardedSim::EnsureWorkers() {
     }
     last_events_.assign(loops_.size(), 0);
     window_cost_.assign(loops_.size(), 0);
+    // Fixed for the engine's life and set before any worker spawns: live
+    // workers read it in AwaitEpoch without synchronization.
+    spin_iters_ = SpinBudget(active);
   }
-  spin_iters_ = SpinBudget(active);
   if (active <= 1 || !workers_.empty()) {
     return;
   }

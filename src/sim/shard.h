@@ -200,9 +200,10 @@ class ShardedSim {
   std::atomic<size_t> done_{0};    // workers finished running + flushing
   std::atomic<size_t> parked_{0};  // workers past the straggler phase
   std::atomic<bool> stop_{false};
-  // Pre-park spin budget, set by EnsureWorkers: a fixed ~100us when every
-  // worker can have its own core, zero on an oversubscribed host (where
-  // spinning only steals the runnable peer's quantum).
+  // Pre-park spin budget, set once by EnsureWorkers before the workers
+  // spawn: a fixed ~100us when every worker can have its own core, zero on
+  // an oversubscribed host (where spinning only steals the runnable peer's
+  // quantum).
   int spin_iters_ = 0;
   double target_ = 0;  // published before the epoch release-increment
   bool inclusive_ = false;

@@ -37,31 +37,29 @@ TEST(BaselineChord, SingleNodeSelfRing) {
 }
 
 TEST(BaselineChord, RingFormsViaTestbed) {
+  ScenarioNet net(BackendKind::kSim, 8, /*seed=*/4);
   TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 4;
   cfg.use_baseline = true;
   cfg.baseline = FastBaseline();
   cfg.join_stagger_s = 0.5;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(80.0);
   EXPECT_EQ(tb.JoinedFraction(), 1.0);
   EXPECT_GE(tb.RingConsistencyFraction(), 0.9);
 }
 
 TEST(BaselineChord, LookupsResolveConsistently) {
+  ScenarioNet net(BackendKind::kSim, 8, /*seed=*/6);
   TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 6;
   cfg.use_baseline = true;
   cfg.baseline = FastBaseline();
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(80.0);
   for (int i = 0; i < 20; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net.Run(1.0);
   }
-  tb.RunFor(10.0);
+  net.Run(10.0);
   size_t completed = 0;
   size_t consistent = 0;
   for (const auto& rec : tb.lookups()) {
@@ -76,16 +74,15 @@ TEST(BaselineChord, LookupsResolveConsistently) {
 }
 
 TEST(BaselineChord, DeathDetectedByPings) {
+  ScenarioNet net(BackendKind::kSim, 6, /*seed=*/8);
   TestbedConfig cfg;
-  cfg.num_nodes = 6;
-  cfg.seed = 8;
   cfg.use_baseline = true;
   cfg.baseline = FastBaseline();
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(60.0);
   ASSERT_GE(tb.RingConsistencyFraction(), 0.9);
   tb.ReplaceNode(3);
-  tb.RunFor(60.0);
+  net.Run(60.0);
   EXPECT_GE(tb.JoinedFraction(), 0.99);
   EXPECT_GE(tb.RingConsistencyFraction(), 0.8);
 }

@@ -88,12 +88,11 @@ TEST(ChordTwoNodes, JoinEstablishesMutualRing) {
 class ChordRingTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ChordRingTest, RingConvergesAndLookupsAreConsistent) {
+  ScenarioNet net(BackendKind::kSim, GetParam(), /*seed=*/42 + GetParam());
   TestbedConfig cfg;
-  cfg.num_nodes = GetParam();
-  cfg.seed = 42 + GetParam();
   cfg.chord = FastChord();
   cfg.join_stagger_s = 0.5;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(/*settle_deadline_s=*/0.5 * GetParam() + 60.0);
   EXPECT_EQ(tb.num_live(), GetParam());
   EXPECT_EQ(tb.JoinedFraction(), 1.0);
@@ -101,9 +100,9 @@ TEST_P(ChordRingTest, RingConvergesAndLookupsAreConsistent) {
 
   for (int i = 0; i < 30; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net.Run(1.0);
   }
-  tb.RunFor(20.0);
+  net.Run(20.0);
   size_t completed = 0;
   size_t consistent = 0;
   for (const auto& rec : tb.lookups()) {
@@ -121,14 +120,13 @@ TEST_P(ChordRingTest, RingConvergesAndLookupsAreConsistent) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ChordRingTest, ::testing::Values(4u, 8u, 16u));
 
 TEST(ChordMaintenance, IdleTrafficIsBounded) {
+  ScenarioNet net(BackendKind::kSim, 8, /*seed=*/7);
   TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 7;
   cfg.chord = FastChord();
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(60.0);
   uint64_t before = tb.TotalMaintBytesOut();
-  tb.RunFor(60.0);
+  net.Run(60.0);
   uint64_t after = tb.TotalMaintBytesOut();
   double per_node_bw =
       static_cast<double>(after - before) / 60.0 / static_cast<double>(tb.num_live());
@@ -139,30 +137,29 @@ TEST(ChordMaintenance, IdleTrafficIsBounded) {
 }
 
 TEST(ChordChurn, NodeDeathHealsRing) {
+  ScenarioNet net(BackendKind::kSim, 8, /*seed=*/21);
   TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 21;
   cfg.chord = FastChord();
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(80.0);
   ASSERT_GE(tb.RingConsistencyFraction(), 0.9);
   // Kill-and-replace three nodes.
   tb.ReplaceNode(2);
-  tb.RunFor(5.0);
+  net.Run(5.0);
   tb.ReplaceNode(5);
-  tb.RunFor(5.0);
+  net.Run(5.0);
   tb.ReplaceNode(7);
   // Give the ring time to stabilize: successors expire, pings fail over.
-  tb.RunFor(120.0);
+  net.Run(120.0);
   EXPECT_EQ(tb.num_live(), 8u);
   EXPECT_GE(tb.JoinedFraction(), 0.99);
   EXPECT_GE(tb.RingConsistencyFraction(), 0.74);
   // Lookups still complete.
   for (int i = 0; i < 10; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net.Run(1.0);
   }
-  tb.RunFor(20.0);
+  net.Run(20.0);
   size_t completed = 0;
   for (const auto& rec : tb.lookups()) {
     completed += rec.completed ? 1 : 0;
@@ -171,11 +168,10 @@ TEST(ChordChurn, NodeDeathHealsRing) {
 }
 
 TEST(ChordMemory, WorkingSetWithinPaperBallpark) {
+  ScenarioNet net(BackendKind::kSim, 8, /*seed=*/3);
   TestbedConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.seed = 3;
   cfg.chord = FastChord();
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(60.0);
   double mem = tb.MeanNodeMemoryBytes();
   EXPECT_GT(mem, 10.0 * 1024);        // a real dataflow lives here

@@ -324,22 +324,23 @@ TEST(FaultInjectorTest, DilatedExecutorStretchesTimerDelays) {
 TEST(FaultsChord, ByzantineFractionIsDetected) {
   auto run = [](double byzantine) {
     obs::Registry registry(2);
+    FaultPlan plan;
+    plan.byzantine_fraction = byzantine;
+    ScenarioNet net(BackendKind::kSim, 16, /*seed=*/4242, /*loss_rate=*/0,
+                    /*udp_base_port=*/0, /*reliable=*/false, /*shards=*/1, plan);
+    net.SetObs(&registry, nullptr);
     TestbedConfig cfg;
-    cfg.num_nodes = 16;
-    cfg.seed = 4242;
-    cfg.metrics = &registry;
     cfg.chord.finger_fix_period_s = 2.0;
     cfg.chord.stabilize_period_s = 2.5;
     cfg.chord.ping_period_s = 0.8;
     cfg.chord.succ_lifetime_s = 1.7;
-    cfg.faults.byzantine_fraction = byzantine;
-    ChordTestbed tb(cfg);
+    ChordTestbed tb(cfg, &net);
     tb.BuildAndSettle(0.25 * 16 + 90.0);
     for (int i = 0; i < 20; ++i) {
       tb.IssueRandomLookup();
-      tb.RunFor(1.0);
+      net.Run(1.0);
     }
-    tb.RunFor(25.0);
+    net.Run(25.0);
     size_t completed = 0, consistent = 0;
     for (const auto& rec : tb.lookups()) {
       completed += rec.completed ? 1 : 0;
@@ -348,8 +349,8 @@ TEST(FaultsChord, ByzantineFractionIsDetected) {
     uint64_t wrong_metric =
         registry.TakeSnapshot().counters["p2_lookup_wrong_total"];
     return std::make_tuple(completed, consistent, wrong_metric,
-                           tb.faults() != nullptr ? tb.faults()->CountByzantine(16)
-                                                  : 0);
+                           net.faults() != nullptr ? net.faults()->CountByzantine(16)
+                                                   : 0);
   };
 
   auto [hc, hcons, hwrong, hbyz] = run(0.0);
@@ -375,31 +376,28 @@ struct FaultedChordResult {
 };
 
 FaultedChordResult RunFaultedChord(const FaultPlan& plan, size_t shards) {
-  TestbedConfig cfg;
-  cfg.num_nodes = 16;
-  cfg.seed = 4242;
-  cfg.shards = shards;
   // Work stealing stays on (the default): every fault axis below must be
   // invariant not just to the shard count but to domains migrating
   // between workers mid-run.
-  cfg.steal = true;
+  ScenarioNet net(BackendKind::kSim, 16, /*seed=*/4242, /*loss_rate=*/0,
+                  /*udp_base_port=*/0, /*reliable=*/false, shards, plan, /*steal=*/true);
+  TestbedConfig cfg;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.5;
   cfg.chord.ping_period_s = 0.8;
   cfg.chord.succ_lifetime_s = 1.7;
-  cfg.faults = plan;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(0.25 * 16 + 60.0);
-  tb.ArmFaults();
+  net.ArmFaults();
   for (int i = 0; i < 6; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net.Run(1.0);
   }
-  tb.RunFor(40.0);
+  net.Run(40.0);
   FaultedChordResult r;
   r.successors = tb.BestSuccessorByNode();
   r.delivered = tb.DeliveredByNode();
-  r.events = tb.EventsRun();
+  r.events = net.SimEventsRun();
   for (const auto& rec : tb.lookups()) {
     r.completed += rec.completed ? 1 : 0;
     r.consistent += rec.consistent ? 1 : 0;
@@ -485,8 +483,9 @@ GossipKillReviveResult RunGossipKillReviveUnderPartition(size_t shards) {
   part.domains = {0};
   plan.partitions.push_back(part);
   ScenarioNet net(BackendKind::kSim, kNodes, 77, /*loss_rate=*/0,
-                  /*udp_base_port=*/0, /*reliable=*/false, ReliableConfig{}, shards,
-                  plan);
+                  /*udp_base_port=*/0, /*reliable=*/false, shards, plan);
+  // The gossip fleet measures from t=0, so the partition counts from here.
+  net.ArmFaults();
   GossipConfig gc;
   gc.gossip_period_s = 1.0;
   std::vector<std::unique_ptr<GossipNode>> nodes;

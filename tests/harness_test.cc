@@ -66,13 +66,12 @@ TEST(FormatRow, PadsCells) {
 }
 
 TEST(Testbed, GroundTruthSuccessorIsClockwiseFirst) {
+  ScenarioNet net(BackendKind::kSim, 6, /*seed=*/11);
   TestbedConfig cfg;
-  cfg.num_nodes = 6;
-  cfg.seed = 11;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.0;
   cfg.chord.ping_period_s = 2.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(40.0);
   // The ground-truth successor of (node id + 1) is the next node on the
   // ring; verify antisymmetry: every node is the ground truth of the key
@@ -84,25 +83,25 @@ TEST(Testbed, GroundTruthSuccessorIsClockwiseFirst) {
 }
 
 TEST(Testbed, ChurnDriverKeepsPopulationConstant) {
+  ScenarioNet net(BackendKind::kSim, 6, /*seed=*/13);
   TestbedConfig cfg;
-  cfg.num_nodes = 6;
-  cfg.seed = 13;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.0;
   cfg.chord.ping_period_s = 2.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(40.0);
   ChurnConfig cc;
   cc.session_mean_s = 30.0;  // aggressive: several deaths in 2 minutes
   cc.seed = 99;
-  ChurnDriver churn(&tb, cc);
+  ChurnDriver churn(net.control_executor(), 6,
+                    [&tb](size_t slot) { return tb.ReplaceNode(slot); }, cc);
   churn.Start();
-  tb.RunFor(120.0);
+  net.Run(120.0);
   EXPECT_EQ(tb.num_live(), 6u);
   EXPECT_GT(churn.deaths(), 5u);
   // Bandwidth accounting stays monotone across deaths.
   uint64_t bytes1 = tb.TotalMaintBytesOut();
-  tb.RunFor(10.0);
+  net.Run(10.0);
   EXPECT_GE(tb.TotalMaintBytesOut(), bytes1);
 }
 

@@ -10,6 +10,7 @@
 // between workers (p2_shard_steals_total > 0) without changing results.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,28 +41,25 @@ struct ChordRunResult {
 };
 
 ChordRunResult RunChord(size_t shards, bool steal) {
+  ScenarioNet net(BackendKind::kSim, 24, /*seed=*/4242, /*loss_rate=*/0.1,
+                  /*udp_base_port=*/0, /*reliable=*/false, shards, FaultPlan{}, steal);
   TestbedConfig cfg;
-  cfg.num_nodes = 24;
-  cfg.seed = 4242;
-  cfg.shards = shards;
-  cfg.steal = steal;
-  cfg.loss_rate = 0.1;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.5;
   cfg.chord.ping_period_s = 0.8;
   cfg.chord.succ_lifetime_s = 1.7;
   cfg.chord.finger_lifetime_s = 60.0;
-  ChordTestbed tb(cfg);
+  ChordTestbed tb(cfg, &net);
   tb.BuildAndSettle(0.25 * 24 + 90.0);
   for (int i = 0; i < 8; ++i) {
     tb.IssueRandomLookup();
-    tb.RunFor(1.0);
+    net.Run(1.0);
   }
-  tb.RunFor(25.0);
+  net.Run(25.0);
   ChordRunResult r;
   r.successors = tb.BestSuccessorByNode();
   r.delivered = tb.DeliveredByNode();
-  r.events = tb.EventsRun();
+  r.events = net.SimEventsRun();
   for (const auto& rec : tb.lookups()) {
     r.completed += rec.completed ? 1 : 0;
     r.consistent += rec.consistent ? 1 : 0;
@@ -100,7 +98,7 @@ struct GossipRunResult {
 GossipRunResult RunGossipFleet(size_t shards) {
   constexpr size_t kNodes = 16;
   ScenarioNet net(BackendKind::kSim, kNodes, 77, /*loss_rate=*/0.05,
-                  /*udp_base_port=*/0, /*reliable=*/false, ReliableConfig{}, shards);
+                  /*udp_base_port=*/0, /*reliable=*/false, shards);
   GossipConfig gc;
   gc.gossip_period_s = 1.0;
   std::vector<std::unique_ptr<GossipNode>> nodes;
@@ -178,14 +176,17 @@ HotDomainResult RunHotDomainFleet(size_t shards, bool steal) {
   }
 
   // Chatty intra-domain-0 ring (every 50ms) plus a slow cold ring, driven
-  // by self-rescheduling timers so every window has work to balance.
+  // by self-rescheduling timers so every window has work to balance. The
+  // ticks live here, not in their own closures, so nothing leaks a cycle.
   std::vector<uint8_t> payload{1, 2, 3, 4};
+  std::vector<std::unique_ptr<std::function<void()>>> ticks;
   for (size_t i = 0; i < topo.size(); ++i) {
     bool hot = i < kHot;
     size_t next = hot ? (i + 1) % kHot : kHot + (i - kHot + 1) % 3;
     double period = hot ? 0.05 : 1.0;
     Executor* ex = sim.shard(net.ShardOf(topo[i]));
-    auto tick = std::make_shared<std::function<void()>>();
+    ticks.push_back(std::make_unique<std::function<void()>>());
+    std::function<void()>* tick = ticks.back().get();
     *tick = [&eps, &payload, ex, tick, i, next, period]() {
       eps[i]->SendTo(eps[next]->local_addr(), payload, TrafficClass::kMaintenance);
       ex->ScheduleAfter(period, [tick]() { (*tick)(); });
