@@ -88,7 +88,7 @@ void BaselineChordNode::Send(const std::string& to, const TuplePtr& t) {
     OnPacket(addr_, frame);
     return;
   }
-  transport_->SendTo(to, std::move(frame), IsLookupTraffic(t->name()));
+  transport_->SendTo(to, std::move(frame), TrafficClassOf(t->name()));
 }
 
 void BaselineChordNode::OnPacket(const std::string& from, const std::vector<uint8_t>& bytes) {

@@ -43,12 +43,9 @@ void Usage(const char* argv0) {
       "                       over every endpoint\n"
       "  --shards <n>         sim: worker threads executing the simulator's\n"
       "                       share-nothing shards (one per topology domain\n"
-      "                       when > 1); same seed => identical per-node event\n"
-      "                       order at any shard count (default 1)\n"
-      "  --steal <on|off>     sim: work stealing — re-assign whole shards to\n"
-      "                       workers at window barriers from the completed\n"
-      "                       window's per-shard event counts (default on;\n"
-      "                       results are bit-for-bit identical either way)\n"
+      "                       when > 1; worker w always runs shards w, w+n,\n"
+      "                       w+2n, ...); same seed => identical per-node\n"
+      "                       event order at any shard count (default 1)\n"
       "  --port <base>        udp: first port to bind (default: kernel picks)\n"
       "  --seed <n>           RNG seed (default 1)\n"
       "  --heal-probe         pathvector --sim: kill one node mid-run, only its\n"
@@ -209,19 +206,6 @@ int main(int argc, char** argv) {
       if (!IntFlag(argc, argv, &i, 0, std::numeric_limits<uint64_t>::max(), &config.seed)) {
         return 2;
       }
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      if (!NeedValue(argc, argv, i)) {
-        return 2;
-      }
-      const char* v = argv[++i];
-      if (std::strcmp(v, "on") == 0) {
-        config.steal = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        config.steal = false;
-      } else {
-        std::fprintf(stderr, "--steal expects on|off, got %s\n", v);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--heal-probe") == 0) {
       config.heal_probe = true;
     } else if (std::strcmp(arg, "--loss-asym") == 0) {
@@ -349,7 +333,7 @@ int main(int argc, char** argv) {
     std::printf(" reliable=on");
   }
   if (config.shards > 1) {
-    std::printf(" shards=%zu%s", config.shards, config.steal ? "" : " steal=off");
+    std::printf(" shards=%zu", config.shards);
   }
   if (!config.faults.asym_loss.empty()) {
     std::printf(" loss-asym=%zu", config.faults.asym_loss.size());

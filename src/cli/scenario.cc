@@ -65,7 +65,7 @@ const char* BackendKindName(BackendKind kind) {
 
 ScenarioNet::ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
                          double loss_rate, uint16_t udp_base_port, bool reliable,
-                         size_t shards, FaultPlan faults, bool steal)
+                         size_t shards, FaultPlan faults)
     : backend_(backend),
       seed_(seed),
       loss_rate_(loss_rate),
@@ -93,7 +93,6 @@ ScenarioNet::ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
       });
   if (backend_ == BackendKind::kSim) {
     sim_engine_ = std::make_unique<ShardedSim>(shards);
-    sim_engine_->SetStealing(steal);
     sim_net_ = std::make_unique<SimNetwork>(sim_engine_.get(), Topology(TopologyConfig{}),
                                             seed ^ 0x5EED);
     sim_net_->set_loss_rate(loss_rate);
@@ -964,8 +963,7 @@ ScenarioReport RunScenario(const ScenarioConfig& config) {
   std::unique_ptr<obs::Registry> registry;
   std::unique_ptr<obs::TraceLog> trace;
   ScenarioNet net(config.backend, config.nodes, config.seed, config.loss_rate,
-                  config.udp_base_port, config.reliable, config.shards, config.faults,
-                  config.steal);
+                  config.udp_base_port, config.reliable, config.shards, config.faults);
   if (!net.ok()) {
     report.detail = "failed to bring up transports (UDP bind failure?)\n";
     return report;

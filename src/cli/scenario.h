@@ -71,10 +71,6 @@ struct ScenarioConfig {
   // single-threaded. A fixed seed produces identical per-node event
   // orders at any shard count.
   size_t shards = 1;
-  // Sim backend only: work stealing — re-assign whole shards to workers
-  // at window barriers from the completed window's per-shard event
-  // counts. Bit-for-bit identical results either way (p2run --steal).
-  bool steal = true;
   // Udp backend only: first port to bind (node i gets base+i); 0 lets the
   // kernel pick free ports.
   uint16_t udp_base_port = 0;
@@ -175,8 +171,7 @@ class ScenarioNet {
  public:
   ScenarioNet(BackendKind backend, size_t nodes, uint64_t seed,
               double loss_rate = 0, uint16_t udp_base_port = 0,
-              bool reliable = false, size_t shards = 1, FaultPlan faults = FaultPlan{},
-              bool steal = true);
+              bool reliable = false, size_t shards = 1, FaultPlan faults = FaultPlan{});
   ~ScenarioNet();
   ScenarioNet(const ScenarioNet&) = delete;
   ScenarioNet& operator=(const ScenarioNet&) = delete;

@@ -200,18 +200,6 @@ int DupElement::PushMany(int port, const std::vector<TuplePtr>& ts, const Callba
   return signal;
 }
 
-// --- MuxElement ---
-
-int MuxElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  return PushOut(0, t, cb);
-}
-
-int MuxElement::PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) {
-  (void)port;
-  return PushOutMany(0, ts, cb);
-}
-
 // --- CallbackSink ---
 
 int CallbackSink::Push(int port, const TuplePtr& t, const Callback& cb) {

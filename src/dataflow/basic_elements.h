@@ -105,14 +105,6 @@ class DupElement : public Element {
   int PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) override;
 };
 
-// Many push inputs, one push output.
-class MuxElement : public Element {
- public:
-  explicit MuxElement(std::string name) : Element(std::move(name)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-  int PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) override;
-};
-
 // Terminal sink invoking a C++ callback (used for watch directives, app
 // subscriptions, and tests).
 class CallbackSink : public Element {
@@ -130,14 +122,6 @@ class DiscardElement : public Element {
  public:
   explicit DiscardElement(std::string name) : Element(std::move(name)) {}
   int Push(int, const TuplePtr&, const Callback&) override { return 1; }
-};
-
-// Entry point for tuples originating outside the graph; external code calls
-// Inject() which pushes downstream.
-class InjectSource : public Element {
- public:
-  explicit InjectSource(std::string name) : Element(std::move(name)) {}
-  int Inject(const TuplePtr& t) { return PushOut(0, t); }
 };
 
 // Emits `periodic(<local addr>, <unique id>, extras...)` every `period`

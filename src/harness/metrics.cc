@@ -127,6 +127,7 @@ void ReliableChannelStats::MergeFrom(const ReliableChannelStats& o) {
   expired += o.expired;
   reorder_drops += o.reorder_drops;
   stream_resets += o.stream_resets;
+  bad_frames += o.bad_frames;
   rtt_samples += o.rtt_samples;
   srtt_sum_s += o.srtt_sum_s;
   srtt_count += o.srtt_count;

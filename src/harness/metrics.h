@@ -97,6 +97,7 @@ struct ReliableChannelStats {
   uint64_t expired = 0;              // frames dropped after max_retries
   uint64_t reorder_drops = 0;        // receive reorder window overflow
   uint64_t stream_resets = 0;        // send-stream renumbers (peer restarts)
+  uint64_t bad_frames = 0;           // malformed stack frames dropped
   uint64_t rtt_samples = 0;
   // Sums over destinations with at least one state update; read them
   // through MeanSrttS/MeanCwnd.

@@ -23,7 +23,6 @@ class LossyTransport : public Transport {
 
   const std::string& local_addr() const override { return inner_->local_addr(); }
 
-  using Transport::SendTo;
   void SendTo(const std::string& to, std::vector<uint8_t> bytes,
               TrafficClass cls) override {
     if (loss_rate_ > 0 && rng_.CoinFlip(loss_rate_)) {

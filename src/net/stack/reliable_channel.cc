@@ -148,7 +148,8 @@ void ReliableChannel::OnDatagram(const std::string& from, const std::vector<uint
   }
   std::optional<StackFrame> f = DecodeStackFrame(bytes);
   if (!f.has_value()) {
-    return;  // malformed stack frame: drop
+    ++bad_frames_;  // malformed stack frame: drop
+    return;
   }
   Peer& peer = GetPeer(from);
   if (f->has_ack) {
@@ -302,7 +303,8 @@ void ReliableChannel::ResetSendStream(const std::string& to, Peer& peer) {
 void ReliableChannel::HandleData(const std::string& from, Peer& peer,
                                  const StackFrameView& data) {
   if (data.seq == 0) {
-    return;  // seq 0 is never assigned
+    ++bad_frames_;  // seq 0 is never assigned
+    return;
   }
   if (!peer.recv_epoch_known || peer.recv_epoch != data.epoch) {
     // New incarnation of the sender (restart/churn replacement reusing the
@@ -404,6 +406,7 @@ ReliableChannelStats ReliableChannel::Stats() const {
     }
     out.MergeFrom(s);
   }
+  out.bad_frames = bad_frames_;
   return out;
 }
 

@@ -68,7 +68,6 @@ class ReliableChannel : public Transport {
 
   const std::string& local_addr() const override { return inner_->local_addr(); }
 
-  using Transport::SendTo;
   void SendTo(const std::string& to, std::vector<uint8_t> bytes,
               TrafficClass cls) override;
 
@@ -171,6 +170,9 @@ class ReliableChannel : public Transport {
   uint32_t epoch_;
   ReceiveFn receiver_;
   std::unordered_map<std::string, Peer> peers_;
+  // Stack frames dropped as malformed: a failed decode (before any peer
+  // state exists for the sender) or a DATA frame carrying seq 0.
+  uint64_t bad_frames_ = 0;
 };
 
 }  // namespace p2

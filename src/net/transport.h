@@ -76,13 +76,6 @@ class Transport {
   virtual void SendTo(const std::string& to, std::vector<uint8_t> bytes,
                       TrafficClass cls) = 0;
 
-  // Legacy classifier: true means lookup-plane, false maintenance.
-  void SendTo(const std::string& to, std::vector<uint8_t> bytes,
-              bool is_lookup_traffic) {
-    SendTo(to, std::move(bytes),
-           is_lookup_traffic ? TrafficClass::kLookup : TrafficClass::kMaintenance);
-  }
-
   virtual void SetReceiver(ReceiveFn fn) = 0;
 
   virtual const TrafficStats& stats() const = 0;

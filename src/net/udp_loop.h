@@ -58,7 +58,6 @@ class UdpTransport : public Transport {
   ~UdpTransport() override;
 
   const std::string& local_addr() const override { return addr_; }
-  using Transport::SendTo;
   void SendTo(const std::string& to, std::vector<uint8_t> bytes,
               TrafficClass cls) override;
   void SetReceiver(ReceiveFn fn) override { receiver_ = std::move(fn); }

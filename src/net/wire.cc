@@ -38,9 +38,10 @@ size_t WireSizeOf(const Tuple& t) {
   return FrameTuple(t).size() + kUdpIpHeaderBytes;
 }
 
-bool IsLookupTraffic(const std::string& tuple_name) {
-  return tuple_name == "lookup" || tuple_name == "lookupResults" ||
-         tuple_name == "blookup" || tuple_name == "blookupRes";
+TrafficClass TrafficClassOf(const std::string& tuple_name) {
+  bool lookup = tuple_name == "lookup" || tuple_name == "lookupResults" ||
+                tuple_name == "blookup" || tuple_name == "blookupRes";
+  return lookup ? TrafficClass::kLookup : TrafficClass::kMaintenance;
 }
 
 }  // namespace p2

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/transport.h"
 #include "src/runtime/tuple.h"
 
 namespace p2 {
@@ -43,9 +44,9 @@ std::optional<TuplePtr> UnframeTuple(const std::vector<uint8_t>& bytes);
 // (used by benchmarks without actually sending).
 size_t WireSizeOf(const Tuple& t);
 
-// True for tuples belonging to the DHT lookup request/response plane; all
-// other tuple names count as overlay maintenance traffic.
-bool IsLookupTraffic(const std::string& tuple_name);
+// kLookup for tuples belonging to the DHT lookup request/response plane;
+// all other tuple names count as overlay maintenance traffic.
+TrafficClass TrafficClassOf(const std::string& tuple_name);
 
 }  // namespace p2
 

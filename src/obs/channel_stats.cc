@@ -63,6 +63,7 @@ void ChannelStatsPool::Collect(Snapshot* snap) const {
   c["p2_channel_expired_total"] += r.expired;
   c["p2_channel_reorder_drops_total"] += r.reorder_drops;
   c["p2_channel_stream_resets_total"] += r.stream_resets;
+  c["p2_channel_bad_frames_total"] += r.bad_frames;
   c["p2_send_fail_oversize_total"] += f.oversize;
   c["p2_send_fail_transient_total"] += f.transient;
   c["p2_send_fail_other_total"] += f.other;

@@ -262,7 +262,7 @@ void P2Node::RouteTuple(const TuplePtr& t) {
   if (obs_tuples_sent_ != nullptr) {
     obs_tuples_sent_->Inc();
   }
-  transport_->SendTo(dest, std::move(frame), IsLookupTraffic(t->name()));
+  transport_->SendTo(dest, std::move(frame), TrafficClassOf(t->name()));
 }
 
 void P2Node::OnPacket(const std::string& from, const std::vector<uint8_t>& bytes) {

@@ -1,10 +1,9 @@
 #include "src/sim/event_loop.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
-#include <thread>
 
 #include "src/obs/registry.h"
 
@@ -12,31 +11,9 @@ namespace p2 {
 
 namespace {
 thread_local SimEventLoop* tls_running_loop = nullptr;
-// The loops the current worker thread owns this window (set by ShardedSim
-// around window execution). A blocked flush drains all of them.
-thread_local SimEventLoop* const* tls_worker_loops = nullptr;
-thread_local size_t tls_worker_loop_count = 0;
-
-// Bounded exponential backoff for a blocked cross-shard flush: yield first
-// (the common case — the peer folds within microseconds), then sleep with
-// doubling intervals capped at 256us so a stalled peer never burns a core.
-void BackoffPause(uint32_t* attempt) {
-  uint32_t a = (*attempt)++;
-  if (a < 16) {
-    std::this_thread::yield();
-    return;
-  }
-  uint32_t shift = std::min<uint32_t>(a - 16, 8);
-  std::this_thread::sleep_for(std::chrono::microseconds(1u << shift));
-}
 }  // namespace
 
 SimEventLoop* SimEventLoop::Current() { return tls_running_loop; }
-
-void SimEventLoop::BindWorkerLoops(SimEventLoop* const* loops, size_t n) {
-  tls_worker_loops = loops;
-  tls_worker_loop_count = n;
-}
 
 TimerId SimEventLoop::ScheduleAfter(double delay, Task task) {
   if (delay < 0) {
@@ -53,82 +30,31 @@ void SimEventLoop::Cancel(TimerId id) {
 
 void SimEventLoop::EnqueueLocal(SimDelivery d) { msgs_.push(std::move(d)); }
 
-bool SimEventLoop::TryEnqueueRemote(SimDelivery& d) {
-  std::lock_guard<std::mutex> lock(mailbox_mu_);
-  if (mailbox_.size() >= mailbox_capacity_) {
-    return false;
-  }
-  mailbox_.push_back(std::move(d));
-  return true;
-}
-
 void SimEventLoop::SetPeers(std::vector<SimEventLoop*> peers) {
   peers_ = std::move(peers);
   outbox_.assign(peers_.size(), {});
 }
 
-void SimEventLoop::StageRemote(size_t dst, SimDelivery d) {
-  std::vector<SimDelivery>& box = outbox_[dst];
-  box.push_back(std::move(d));
-  if (box.size() >= outbox_flush_threshold_) {
-    FlushTo(dst);
-  }
-}
-
 void SimEventLoop::FlushOutbox() {
   for (size_t dst = 0; dst < outbox_.size(); ++dst) {
-    if (!outbox_[dst].empty()) {
-      FlushTo(dst);
+    std::vector<SimDelivery>& batch = outbox_[dst];
+    if (batch.empty()) {
+      continue;
     }
+    SimEventLoop* peer = peers_[dst];
+    {
+      std::lock_guard<std::mutex> lock(peer->mailbox_mu_);
+      peer->mailbox_.insert(peer->mailbox_.end(), std::make_move_iterator(batch.begin()),
+                            std::make_move_iterator(batch.end()));
+    }
+    batch.clear();
   }
-}
-
-void SimEventLoop::FlushTo(size_t dst) {
-  std::vector<SimDelivery>& batch = outbox_[dst];
-  SimEventLoop* peer = peers_[dst];
-  size_t off = 0;
-  uint32_t attempt = 0;
-  while (off < batch.size()) {
-    off += peer->AcceptBatch(batch, off);
-    if (off == batch.size()) {
-      break;
-    }
-    // Full destination mailbox. Fold every loop this worker owns — a
-    // blocked peer may be pushing toward any of them, not just the loop
-    // running right now, and draining only the running loop can deadlock
-    // two workers whose blocked flushes target each other's idle loops.
-    if (obs_backpressure_ != nullptr) {
-      obs_backpressure_->Inc();
-    }
-    if (tls_worker_loop_count > 0) {
-      for (size_t i = 0; i < tls_worker_loop_count; ++i) {
-        tls_worker_loops[i]->DrainMailbox();
-      }
-    } else if (tls_running_loop != nullptr) {
-      tls_running_loop->DrainMailbox();
-    }
-    BackoffPause(&attempt);
-  }
-  batch.clear();
-}
-
-size_t SimEventLoop::AcceptBatch(std::vector<SimDelivery>& batch, size_t from) {
-  std::lock_guard<std::mutex> lock(mailbox_mu_);
-  size_t space =
-      mailbox_.size() >= mailbox_capacity_ ? 0 : mailbox_capacity_ - mailbox_.size();
-  size_t take = std::min(space, batch.size() - from);
-  for (size_t i = 0; i < take; ++i) {
-    mailbox_.push_back(std::move(batch[from + i]));
-  }
-  return take;
 }
 
 void SimEventLoop::BindObs(obs::Registry* registry) {
   obs_mailbox_depth_ = registry->GetHistogram(
       shard_index_,
       "p2_shard_mailbox_depth{shard=\"" + std::to_string(shard_index_) + "\"}");
-  obs_backpressure_ =
-      registry->GetCounter(shard_index_, "p2_mailbox_backpressure_total");
 }
 
 void SimEventLoop::DrainMailbox() {
@@ -148,7 +74,7 @@ void SimEventLoop::DrainMailbox() {
 size_t SimEventLoop::pending() const { return wheel_.size() + msgs_.size(); }
 
 void SimEventLoop::RunWindow(double end, bool inclusive) {
-  // Fold whatever the previous window's stragglers mailed us. Conservative
+  // Fold what peers flushed to us during the previous window. Conservative
   // sync guarantees none of it is due before this window starts, and only
   // the owning thread ever folds, so the heap stays single-writer.
   DrainMailbox();

@@ -12,13 +12,17 @@
 //    node's datagrams in exactly the order the single-shard run would.
 //
 // At equal timestamps timers fire before deliveries. Cross-shard senders
-// stage datagrams into per-destination outboxes local to the sending loop
-// and flush them as one batch — one mailbox lock round-trip per (source,
-// destination, window) instead of per datagram. The owner folds the
-// mailbox into the delivery heap with DrainMailbox; conservative-window
-// synchronization (see src/sim/shard.h) guarantees a message is always
-// staged before its shard's clock reaches its delivery time, and the
-// content-keyed heap order makes mailbox *arrival* order irrelevant.
+// stage datagrams into per-destination outboxes local to the sending loop,
+// and the sending worker flushes each outbox as one batch at the end of
+// the window — one mailbox lock round-trip per (source, destination,
+// window) instead of per datagram. The mailbox is a mutex-guarded vector
+// with no bound: everything staged in a window is due no earlier than the
+// next one, so it has to be held somewhere until then. The owner folds the
+// mailbox into the delivery heap at the start of its next window;
+// conservative-window synchronization (see src/sim/shard.h) guarantees a
+// message is always flushed before its shard's clock reaches its delivery
+// time, and the content-keyed heap order makes mailbox *arrival* order
+// irrelevant.
 #ifndef P2_SIM_EVENT_LOOP_H_
 #define P2_SIM_EVENT_LOOP_H_
 
@@ -34,7 +38,6 @@
 namespace p2 {
 
 namespace obs {
-class Counter;
 class LogHistogram;
 class Registry;
 }  // namespace obs
@@ -78,9 +81,10 @@ class SimEventLoop : public Executor {
   // without self-perpetuating timers.
   void RunAll();
 
-  // Runs every event with time < `end` (<= `end` when `inclusive`), then
-  // advances the clock to `end`. The sharded coordinator drives windows
-  // through this; RunUntil is the single-loop convenience over it.
+  // Folds the mailbox into the delivery heap, runs every event with time <
+  // `end` (<= `end` when `inclusive`), then advances the clock to `end`.
+  // The sharded coordinator drives windows through this; RunUntil is the
+  // single-loop convenience over it.
   void RunWindow(double end, bool inclusive);
 
   // --- Delivery lane -------------------------------------------------------
@@ -91,45 +95,13 @@ class SimEventLoop : public Executor {
   // coordinator/main thread while every shard is parked at a barrier.
   void EnqueueLocal(SimDelivery d);
 
-  // Bounded cross-thread push of a single datagram; returns false (leaving
-  // `d` intact) when the mailbox is full. The batched staging path below is
-  // what the simulated network uses; this survives for direct/unit use.
-  bool TryEnqueueRemote(SimDelivery& d);
+  // Stages a datagram bound for peer shard `dst` in this loop's outbox;
+  // the window's end flushes it. Only the thread currently running this
+  // loop may call it.
+  void StageRemote(size_t dst, SimDelivery d) { outbox_[dst].push_back(std::move(d)); }
 
-  // Folds the mailbox into the delivery heap. Called by the owning thread
-  // (any time) or by the coordinator while the owner is parked.
-  void DrainMailbox();
-
-  void set_mailbox_capacity(size_t cap) { mailbox_capacity_ = cap; }
-
-  // --- Batched cross-shard staging -----------------------------------------
-
-  // Wires this loop to its peer set (index-aligned with shard ids). Called
-  // by ShardedSim whenever the loop set is (re)built.
-  void SetPeers(std::vector<SimEventLoop*> peers);
-
-  // Stages a datagram bound for peer `dst`, flushing that outbox early if
-  // it crosses the overflow threshold. Only the thread currently running
-  // this loop may call it.
-  void StageRemote(size_t dst, SimDelivery d);
-
-  // Flushes every non-empty outbox into its destination mailbox, one lock
-  // round-trip per destination. A full destination blocks the flush with
-  // bounded exponential backoff; while blocked the caller folds every loop
-  // its worker owns (see BindWorkerLoops), so cyclic backpressure between
-  // workers always drains instead of deadlocking.
-  void FlushOutbox();
-
-  // Declares the loops the calling thread owns for the current window; a
-  // blocked flush relieves pressure by draining all of them. Falls back to
-  // the running loop when unset. Pass (nullptr, 0) to clear.
-  static void BindWorkerLoops(SimEventLoop* const* loops, size_t n);
-
-  void set_outbox_flush_threshold(size_t n) { outbox_flush_threshold_ = n; }
-
-  // Binds the mailbox-depth histogram (sampled at every fold) and the
-  // backpressure counter into this shard's registry lane. Called by
-  // ShardedSim::SetObs.
+  // Binds the mailbox-depth histogram (sampled at every non-empty fold)
+  // into this shard's registry lane. Called by ShardedSim::SetObs.
   void BindObs(obs::Registry* registry);
 
   // The loop currently executing events on this thread; null on the
@@ -156,10 +128,15 @@ class SimEventLoop : public Executor {
     }
   };
 
-  // Moves as many of batch[from..] into the mailbox as capacity allows
-  // (one lock acquisition); returns how many were accepted.
-  size_t AcceptBatch(std::vector<SimDelivery>& batch, size_t from);
-  void FlushTo(size_t dst);
+  // Wires this loop to its peer set (index-aligned with shard ids). Called
+  // by ShardedSim whenever the loop set is (re)built.
+  void SetPeers(std::vector<SimEventLoop*> peers);
+  // Appends every non-empty outbox to its destination's mailbox, one lock
+  // round-trip per destination. Called by the worker that ran this loop,
+  // right after its window.
+  void FlushOutbox();
+  // Folds the mailbox into the delivery heap (start of every window).
+  void DrainMailbox();
 
   double now_ = 0.0;
   uint64_t events_run_ = 0;
@@ -170,15 +147,12 @@ class SimEventLoop : public Executor {
 
   std::mutex mailbox_mu_;
   std::vector<SimDelivery> mailbox_;
-  size_t mailbox_capacity_ = 1 << 15;
 
   // Staging outboxes, touched only by the thread running this loop.
   std::vector<SimEventLoop*> peers_;
   std::vector<std::vector<SimDelivery>> outbox_;  // indexed by shard id
-  size_t outbox_flush_threshold_ = 1024;
 
   obs::LogHistogram* obs_mailbox_depth_ = nullptr;
-  obs::Counter* obs_backpressure_ = nullptr;
 };
 
 }  // namespace p2

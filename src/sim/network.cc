@@ -8,9 +8,8 @@ namespace p2 {
 SimNetwork::SimNetwork(ShardedSim* engine, Topology topology, uint64_t seed)
     : topology_(topology), rng_(seed) {
   if (engine->num_workers() > 1) {
-    // One shard per domain: domains are the migration granule for the
-    // engine's work stealing, and windows stay bounded by the minimum
-    // cross-domain latency.
+    // One shard per domain: domains are the unit a worker owns, and
+    // windows stay bounded by the minimum cross-domain latency.
     engine->ConfigureLoops(topology_.config().num_domains);
     engine->set_sync_window(topology_.MinCrossDomainLatency());
   }
@@ -112,9 +111,9 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
   }
   // Cross-shard: stage into the sending shard's local outbox. The owning
   // worker flushes the whole batch into the destination mailbox at the
-  // window boundary (or on overflow) — one lock round-trip per (source,
-  // destination, window) instead of per datagram. Delivery order is
-  // unaffected: destinations execute in (at, src, seq) heap order.
+  // window boundary — one lock round-trip per (source, destination,
+  // window) instead of per datagram. Delivery order is unaffected:
+  // destinations execute in (at, src, seq) heap order.
   running->StageRemote(it->second.shard, std::move(d));
 }
 

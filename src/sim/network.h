@@ -2,11 +2,13 @@
 //
 // The fabric spans every shard of a ShardedSim. When the engine runs more
 // than one worker the fabric reshapes it to one shard per topology domain
-// (the engine's work-stealing granule) and pins each endpoint to its
-// domain's shard, so two endpoints on different shards are always in
-// different domains and every cross-shard datagram experiences at least
-// the inter-domain latency — the conservative synchronization window the
-// coordinator advances by.
+// (the unit a worker owns) and pins each endpoint to its domain's shard,
+// so two endpoints on different shards are always in different domains
+// and every cross-shard datagram experiences at least the inter-domain
+// latency — the conservative synchronization window the coordinator
+// advances by. A cross-shard datagram is staged in the sending shard's
+// outbox and reaches the destination's mailbox when the sender's window
+// ends.
 //
 // Determinism is independent of the shard count:
 //  - loss and jitter draw from a per-endpoint RNG stream, so the coin
@@ -115,7 +117,6 @@ class SimTransport : public Transport {
   ~SimTransport() override;
 
   const std::string& local_addr() const override { return addr_; }
-  using Transport::SendTo;
   void SendTo(const std::string& to, std::vector<uint8_t> bytes,
               TrafficClass cls) override;
   void SetReceiver(ReceiveFn fn) override { receiver_ = std::move(fn); }

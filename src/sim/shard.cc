@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <numeric>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -31,7 +30,7 @@ inline void CpuRelax() {
 }
 
 // Spin budget before parking on a condvar (and before the coordinator
-// parks waiting for stragglers). Windows are typically sub-millisecond of
+// parks waiting for the workers). Windows are typically sub-millisecond of
 // wall time, so ~100us of spinning catches the common case without
 // burning a core for long. Spinning only pays when every worker has its
 // own core: on an oversubscribed host a non-yielding spin just delays the
@@ -45,26 +44,6 @@ int SpinBudget(size_t active_workers) {
     hw = 1;
   }
   return active_workers <= hw ? kSpinIters : 0;
-}
-
-// Straggler-phase pacing: stay polite while peers finish their windows.
-// When oversubscribed, skip the relax phase and hand the core over at
-// once — the peer we are waiting on needs it.
-void StragglerPause(uint32_t* attempt, bool oversubscribed) {
-  uint32_t a = (*attempt)++;
-  if (oversubscribed) {
-    a += 64;
-  }
-  if (a < 64) {
-    CpuRelax();
-    return;
-  }
-  if (a < 128) {
-    std::this_thread::yield();
-    return;
-  }
-  uint32_t shift = std::min<uint32_t>(a - 128, 6);
-  std::this_thread::sleep_for(std::chrono::microseconds(1u << shift));
 }
 
 }  // namespace
@@ -121,18 +100,12 @@ void ShardedSim::ConfigureLoops(size_t n) {
     loops_.push_back(std::move(loop));
   }
   WirePeers();
-  owner_.clear();
-  plan_.clear();
-  last_events_.clear();
-  window_cost_.clear();
 }
 
 void ShardedSim::SetObs(obs::Registry* registry, obs::TraceLog* trace) {
   obs_registry_ = registry;
   trace_ = trace;
   barrier_wait_.clear();
-  obs_steals_ = nullptr;
-  obs_owner_moves_ = nullptr;
   obs_imbalance_ = nullptr;
   if (registry != nullptr) {
     for (size_t w = 0; w < num_workers(); ++w) {
@@ -142,10 +115,7 @@ void ShardedSim::SetObs(obs::Registry* registry, obs::TraceLog* trace) {
     for (auto& l : loops_) {
       l->BindObs(registry);
     }
-    const size_t coord = loops_.size();
-    obs_steals_ = registry->GetCounter(coord, "p2_shard_steals_total");
-    obs_owner_moves_ = registry->GetCounter(coord, "p2_domain_owner_moves_total");
-    obs_imbalance_ = registry->GetGauge(coord, "p2_shard_window_imbalance_pct");
+    obs_imbalance_ = registry->GetGauge(loops_.size(), "p2_shard_window_imbalance_pct");
   }
 }
 
@@ -164,24 +134,13 @@ uint64_t ShardedSim::events_run() const {
 
 void ShardedSim::EnsureWorkers() {
   const size_t active = num_workers();
-  if (plan_.empty()) {
-    owner_.resize(loops_.size());
-    for (size_t l = 0; l < loops_.size(); ++l) {
-      owner_[l] = l % active;
-    }
-    plan_.assign(active, {});
-    for (size_t l = 0; l < loops_.size(); ++l) {
-      plan_[owner_[l]].push_back(l);
-    }
-    last_events_.assign(loops_.size(), 0);
-    window_cost_.assign(loops_.size(), 0);
-    // Fixed for the engine's life and set before any worker spawns: live
-    // workers read it in AwaitEpoch without synchronization.
-    spin_iters_ = SpinBudget(active);
-  }
   if (active <= 1 || !workers_.empty()) {
     return;
   }
+  // Fixed for the engine's life and set before any worker spawns: live
+  // workers read it in AwaitEpoch without synchronization.
+  spin_iters_ = SpinBudget(active);
+  last_events_.assign(loops_.size(), 0);
   workers_.reserve(active - 1);
   for (size_t w = 1; w < active; ++w) {
     workers_.emplace_back([this, w]() { WorkerMain(w); });
@@ -208,34 +167,26 @@ bool ShardedSim::AwaitEpoch(uint64_t seen) {
   return !stop_.load(std::memory_order_relaxed);
 }
 
-void ShardedSim::RunPlanned(size_t worker, double end, bool inclusive,
-                            std::vector<SimEventLoop*>& mine,
-                            std::chrono::steady_clock::time_point* window_end) {
+void ShardedSim::RunOwned(size_t worker, double end, bool inclusive,
+                          std::chrono::steady_clock::time_point* window_end) {
   const size_t active = num_workers();
-  mine.clear();
-  for (size_t l : plan_[worker]) {
-    mine.push_back(loops_[l].get());
-  }
-  // A flush blocked on a full peer mailbox drains every loop we own, which
-  // is what makes cyclic backpressure between workers deadlock-free.
-  SimEventLoop::BindWorkerLoops(mine.data(), mine.size());
   const bool instrumented = obs_registry_ != nullptr || trace_ != nullptr;
   double ts0 = trace_ != nullptr ? trace_->NowUs() : 0;
   double vt_begin = now_;
   uint64_t ev0 = 0;
   if (instrumented) {
-    for (SimEventLoop* l : mine) {
-      ev0 += l->events_run();
+    for (size_t l = worker; l < loops_.size(); l += active) {
+      ev0 += loops_[l]->events_run();
     }
   }
-  for (SimEventLoop* l : mine) {
-    l->RunWindow(end, inclusive);
-    l->FlushOutbox();
+  for (size_t l = worker; l < loops_.size(); l += active) {
+    loops_[l]->RunWindow(end, inclusive);
+    loops_[l]->FlushOutbox();
   }
   if (instrumented) {
     uint64_t ev1 = 0;
-    for (SimEventLoop* l : mine) {
-      ev1 += l->events_run();
+    for (size_t l = worker; l < loops_.size(); l += active) {
+      ev1 += loops_[l]->events_run();
     }
     if (window_end != nullptr) {
       *window_end = std::chrono::steady_clock::now();
@@ -245,29 +196,13 @@ void ShardedSim::RunPlanned(size_t worker, double end, bool inclusive,
                                           vt_begin, end, ev1 - ev0});
     }
   }
-  done_.fetch_add(1, std::memory_order_acq_rel);
-  // Straggler phase: peers still inside this window may flood our bounded
-  // mailboxes; keep folding them (owner-thread-only by design) so their
-  // blocked flushes make progress instead of deadlocking the barrier.
-  // Once every worker is done no one sends until the next epoch, so the
-  // next window's entry drain picks up the remainder.
-  uint32_t attempt = 0;
-  const bool oversub = spin_iters_ == 0;
-  while (done_.load(std::memory_order_acquire) < active) {
-    for (SimEventLoop* l : mine) {
-      l->DrainMailbox();
-    }
-    StragglerPause(&attempt, oversub);
-  }
-  SimEventLoop::BindWorkerLoops(nullptr, 0);
 }
 
 void ShardedSim::WorkerMain(size_t worker) {
   uint64_t seen = 0;
-  std::vector<SimEventLoop*> mine;
   // Barrier wait = wall time from this worker finishing its window's work
-  // (run + flush) to the coordinator waking it for the next one
-  // (straggler drain + park + coordinator overhead).
+  // (run + flush) to the coordinator waking it for the next one (park +
+  // coordinator overhead).
   bool have_window_end = false;
   std::chrono::steady_clock::time_point window_end_tp;
   const bool instrumented = obs_registry_ != nullptr || trace_ != nullptr;
@@ -291,8 +226,7 @@ void ShardedSim::WorkerMain(size_t worker) {
                                             dur_us, vt, vt, 0});
       }
     }
-    RunPlanned(worker, target_, inclusive_, mine,
-               instrumented ? &window_end_tp : nullptr);
+    RunOwned(worker, target_, inclusive_, instrumented ? &window_end_tp : nullptr);
     have_window_end = instrumented;
     parked_.fetch_add(1, std::memory_order_acq_rel);
     // Lock-then-notify: the coordinator holds mu_ from its predicate check
@@ -302,130 +236,33 @@ void ShardedSim::WorkerMain(size_t worker) {
   }
 }
 
-void ShardedSim::Rebalance() {
+void ShardedSim::ObserveImbalance() {
   const size_t active = num_workers();
-  const size_t n = loops_.size();
+  std::vector<uint64_t> load(active, 0);
   uint64_t total = 0;
-  for (size_t l = 0; l < n; ++l) {
+  for (size_t l = 0; l < loops_.size(); ++l) {
     uint64_t now_events = loops_[l]->events_run();
-    window_cost_[l] = now_events - last_events_[l];
+    uint64_t cost = now_events - last_events_[l];
     last_events_[l] = now_events;
-    total += window_cost_[l];
+    load[l % active] += cost;
+    total += cost;
   }
   if (total == 0) {
-    return;  // First window, or an idle one: nothing to learn from.
-  }
-  std::vector<uint64_t> load(active, 0);
-  for (size_t l = 0; l < n; ++l) {
-    load[owner_[l]] += window_cost_[l];
+    return;  // First window, or an idle one: nothing to report.
   }
   uint64_t max_load = *std::max_element(load.begin(), load.end());
-  if (obs_imbalance_ != nullptr) {
-    // Gauge semantics are add-a-delta; hold the last window's value.
-    int64_t pct = static_cast<int64_t>(max_load * active * 100 / total);
-    obs_imbalance_->Add(pct - imbalance_last_);
-    imbalance_last_ = pct;
-  }
-  if (!stealing_) {
-    return;
-  }
-  // Hysteresis: replan only when the worst worker carried > 1.2x the
-  // perfectly balanced share, so a settled plan is not churned by noise.
-  if (max_load * active * 10 <= total * 12) {
-    return;
-  }
-  // LPT over the completed window's costs: heaviest shard first onto the
-  // least-loaded worker, ties keeping the current owner (then the lowest
-  // worker id). Inputs are virtual-time state only, so the plan — like the
-  // events it schedules — is a pure function of the seed.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (window_cost_[a] != window_cost_[b]) {
-      return window_cost_[a] > window_cost_[b];
-    }
-    return a < b;
-  });
-  std::vector<uint64_t> new_load(active, 0);
-  std::vector<size_t> new_owner(n, 0);
-  for (size_t l : order) {
-    size_t best = 0;
-    for (size_t w = 1; w < active; ++w) {
-      if (new_load[w] < new_load[best]) {
-        best = w;
-      }
-    }
-    if (new_load[owner_[l]] == new_load[best]) {
-      best = owner_[l];
-    }
-    new_owner[l] = best;
-    new_load[best] += window_cost_[l];
-  }
-  uint64_t moves = 0;
-  uint64_t steals = 0;
-  for (size_t l = 0; l < n; ++l) {
-    if (new_owner[l] != owner_[l]) {
-      ++moves;
-      if (load[new_owner[l]] < load[owner_[l]]) {
-        ++steals;  // The gaining worker was the less-loaded one: a steal.
-      }
-    }
-  }
-  if (moves == 0) {
-    return;
-  }
-  owner_ = std::move(new_owner);
-  for (auto& p : plan_) {
-    p.clear();
-  }
-  for (size_t l = 0; l < n; ++l) {
-    plan_[owner_[l]].push_back(l);
-  }
-  if (obs_owner_moves_ != nullptr) {
-    obs_owner_moves_->Inc(moves);
-  }
-  if (obs_steals_ != nullptr && steals > 0) {
-    obs_steals_->Inc(steals);
-  }
+  // Gauge semantics are add-a-delta; hold the last window's value.
+  int64_t pct = static_cast<int64_t>(max_load * active * 100 / total);
+  obs_imbalance_->Add(pct - imbalance_last_);
+  imbalance_last_ = pct;
 }
 
 void ShardedSim::RunShardsWindow(double end, bool inclusive) {
-  const bool instrumented = obs_registry_ != nullptr || trace_ != nullptr;
-  if (num_workers() == 1) {
-    // Single worker: one shard, no barriers. The "barrier wait" is the
-    // coordinator's gap between window ends — control tasks plus loop
-    // overhead — so the metric is meaningful (and nonzero) at any count.
-    if (instrumented && have_last_window_end_) {
-      uint64_t wait_ns = ElapsedNs(last_window_end_, std::chrono::steady_clock::now());
-      if (!barrier_wait_.empty()) {
-        barrier_wait_[0]->Observe(wait_ns);
-      }
-      if (trace_ != nullptr) {
-        double vt = loops_[0]->Now();
-        double dur_us = static_cast<double>(wait_ns) / 1000.0;
-        trace_->Add(0, obs::TraceEvent{"barrier", trace_->NowUs() - dur_us, dur_us,
-                                       vt, vt, 0});
-      }
-    }
-    double vt_begin = loops_[0]->Now();
-    uint64_t ev0 = loops_[0]->events_run();
-    double ts0 = trace_ != nullptr ? trace_->NowUs() : 0;
-    loops_[0]->RunWindow(end, inclusive);
-    if (instrumented) {
-      last_window_end_ = std::chrono::steady_clock::now();
-      have_last_window_end_ = true;
-      if (trace_ != nullptr) {
-        trace_->Add(0, obs::TraceEvent{"window", ts0, trace_->NowUs() - ts0, vt_begin,
-                                       end, loops_[0]->events_run() - ev0});
-      }
-    }
-    return;
-  }
   const size_t active = num_workers();
-  // Every worker is parked here, so ownership transfer is safe: the
-  // release/acquire chain through parked_ (their last window) and epoch_
-  // (this publish) orders all shard state for any new owner.
-  Rebalance();
+  const bool instrumented = obs_registry_ != nullptr || trace_ != nullptr;
+  if (active > 1 && obs_imbalance_ != nullptr) {
+    ObserveImbalance();
+  }
   if (instrumented && have_last_window_end_) {
     uint64_t wait_ns = ElapsedNs(last_window_end_, std::chrono::steady_clock::now());
     if (!barrier_wait_.empty()) {
@@ -437,7 +274,9 @@ void ShardedSim::RunShardsWindow(double end, bool inclusive) {
                                      now_, now_, 0});
     }
   }
-  done_.store(0, std::memory_order_relaxed);
+  // Every worker thread is parked here: the release/acquire chain through
+  // parked_ (their last window) and epoch_ (this publish) orders all shard
+  // state between windows.
   parked_.store(0, std::memory_order_relaxed);
   target_ = end;
   inclusive_ = inclusive;
@@ -450,12 +289,10 @@ void ShardedSim::RunShardsWindow(double end, bool inclusive) {
   }
   // The coordinator is worker 0: it runs its own share of shards instead
   // of idling (and oversubscribing a core) while the others work.
-  RunPlanned(0, end, inclusive, coord_mine_,
-             instrumented ? &last_window_end_ : nullptr);
+  RunOwned(0, end, inclusive, instrumented ? &last_window_end_ : nullptr);
   have_last_window_end_ = instrumented;
-  // Wait for every worker thread to clear its straggler phase before
-  // touching any shard state (control tasks, rebalance, mailbox folds): a
-  // straggler's relief-drain may still fold mailboxes until then.
+  // Wait for every worker thread to finish its window before touching any
+  // shard state (control tasks, the next window's mailbox folds).
   int spin = 0;
   while (parked_.load(std::memory_order_acquire) != active - 1) {
     if (++spin < spin_iters_) {

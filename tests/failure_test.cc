@@ -67,11 +67,12 @@ TEST(FailureInjection, GarbageAndMalformedPacketsIgnored) {
     for (uint64_t n = rng.NextBelow(64); n > 0; --n) {
       junk.push_back(static_cast<uint8_t>(rng.NextU64()));
     }
-    ta->SendTo("node", std::move(junk), false);
+    ta->SendTo("node", std::move(junk), TrafficClass::kMaintenance);
   }
   // Also well-framed tuples with absurd names/arities.
-  ta->SendTo("node", FrameTuple(Tuple("lookup", {})), true);
-  ta->SendTo("node", FrameTuple(Tuple("nosuchrule", {Value::Int(1)})), false);
+  ta->SendTo("node", FrameTuple(Tuple("lookup", {})), TrafficClass::kLookup);
+  ta->SendTo("node", FrameTuple(Tuple("nosuchrule", {Value::Int(1)})),
+             TrafficClass::kMaintenance);
   loop.RunUntil(30.0);
   // The node is unharmed and still a functioning self-ring.
   ASSERT_TRUE(node.BestSuccessor().has_value());

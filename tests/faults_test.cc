@@ -376,11 +376,8 @@ struct FaultedChordResult {
 };
 
 FaultedChordResult RunFaultedChord(const FaultPlan& plan, size_t shards) {
-  // Work stealing stays on (the default): every fault axis below must be
-  // invariant not just to the shard count but to domains migrating
-  // between workers mid-run.
   ScenarioNet net(BackendKind::kSim, 16, /*seed=*/4242, /*loss_rate=*/0,
-                  /*udp_base_port=*/0, /*reliable=*/false, shards, plan, /*steal=*/true);
+                  /*udp_base_port=*/0, /*reliable=*/false, shards, plan);
   TestbedConfig cfg;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.5;

@@ -402,9 +402,11 @@ TEST_F(PlannerNodeTest, WrongArityWireTuplesAreDropped) {
   n->Start();
   // A short "kv" tuple arriving off the wire must not plant a malformed
   // row (which would crash the join's field indexing later).
-  t2_->SendTo("n1", FrameTuple(Tuple("kv", {Value::Addr("n1")})), false);
+  t2_->SendTo("n1", FrameTuple(Tuple("kv", {Value::Addr("n1")})),
+              TrafficClass::kMaintenance);
   // A short "ev" event must be dropped by the rule driver.
-  t2_->SendTo("n1", FrameTuple(Tuple("ev", {Value::Addr("n1")})), false);
+  t2_->SendTo("n1", FrameTuple(Tuple("ev", {Value::Addr("n1")})),
+              TrafficClass::kMaintenance);
   loop_.RunUntil(1.0);
   EXPECT_EQ(n->GetTable("kv")->size(), 0u);
   // The node still works.
@@ -434,7 +436,7 @@ TEST_F(PlannerNodeTest, InjectRoutesByLocationSpecifier) {
 TEST_F(PlannerNodeTest, BadPacketsCounted) {
   auto n = Install(t1_.get(), "r1 tick@X(X) :- periodic@X(X,E,1).", 1);
   n->Start();
-  t2_->SendTo("n1", {0xDE, 0xAD}, false);
+  t2_->SendTo("n1", {0xDE, 0xAD}, TrafficClass::kMaintenance);
   loop_.RunUntil(1.0);
   EXPECT_EQ(n->stats().bad_packets, 1u);
 }

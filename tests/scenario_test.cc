@@ -319,12 +319,12 @@ TEST(ScenarioNetSmoke, SimFleetBasics) {
   std::string got;
   net.transport(1)->SetReceiver(
       [&](const std::string& from, const std::vector<uint8_t>&) { got = from; });
-  net.transport(0)->SendTo(net.addr(1), {42}, false);
+  net.transport(0)->SendTo(net.addr(1), {42}, TrafficClass::kMaintenance);
   net.Run(1.0);
   EXPECT_EQ(got, "n0");
   // Killed endpoints silently eat traffic, like a crashed node.
   net.Kill(1);
-  net.transport(0)->SendTo("n1", {42}, false);
+  net.transport(0)->SendTo("n1", {42}, TrafficClass::kMaintenance);
   net.Run(1.0);
 }
 
@@ -341,8 +341,8 @@ TEST(ScenarioNetSmoke, FreshReviveTakesTheNextUnusedAddress) {
   std::string got;
   net.transport(1)->SetReceiver(
       [&](const std::string& from, const std::vector<uint8_t>&) { got += from; });
-  net.transport(0)->SendTo("n1", {42}, false);
-  net.transport(0)->SendTo("n3", {42}, false);
+  net.transport(0)->SendTo("n1", {42}, TrafficClass::kMaintenance);
+  net.transport(0)->SendTo("n3", {42}, TrafficClass::kMaintenance);
   net.Run(1.0);
   EXPECT_EQ(got, "n0");
 }

@@ -1,13 +1,12 @@
 // Shard-count determinism: the whole point of conservative-window
 // synchronization plus content-keyed delivery ordering is that sharding is
-// a pure performance lever. For a fixed seed, --shards 1, 4 and 8 — with
-// work stealing on or off — must produce the same simulation: same
-// per-node event sequences, hence same converged routing tables, same
-// per-node delivered-datagram counts, and the same fleet-wide event
-// totals. Verified for a heavyweight overlay (declarative Chord with loss
-// and workload lookups), a lightweight one (gossip membership), and a
-// deliberately imbalanced fleet where domains demonstrably migrate
-// between workers (p2_shard_steals_total > 0) without changing results.
+// a pure performance lever. For a fixed seed, --shards 1, 4 and 8 must
+// produce the same simulation: same per-node event sequences, hence same
+// converged routing tables, same per-node delivered-datagram counts, and
+// the same fleet-wide event totals. Verified for a heavyweight overlay
+// (declarative Chord with loss and workload lookups), a lightweight one
+// (gossip membership), and a deliberately imbalanced fleet whose hot
+// domain loads one worker far above the others.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -40,9 +39,9 @@ struct ChordRunResult {
   }
 };
 
-ChordRunResult RunChord(size_t shards, bool steal) {
+ChordRunResult RunChord(size_t shards) {
   ScenarioNet net(BackendKind::kSim, 24, /*seed=*/4242, /*loss_rate=*/0.1,
-                  /*udp_base_port=*/0, /*reliable=*/false, shards, FaultPlan{}, steal);
+                  /*udp_base_port=*/0, /*reliable=*/false, shards);
   TestbedConfig cfg;
   cfg.chord.finger_fix_period_s = 2.0;
   cfg.chord.stabilize_period_s = 2.5;
@@ -68,9 +67,9 @@ ChordRunResult RunChord(size_t shards, bool steal) {
   return r;
 }
 
-TEST(ShardDeterminism, ChordIdenticalAcrossShardCountsAndStealModes) {
-  ChordRunResult one = RunChord(1, /*steal=*/true);
-  ChordRunResult four = RunChord(4, /*steal=*/true);
+TEST(ShardDeterminism, ChordIdenticalAcrossShardCounts) {
+  ChordRunResult one = RunChord(1);
+  ChordRunResult four = RunChord(4);
   // Converged routing tables: every node's best successor matches.
   EXPECT_EQ(one.successors, four.successors);
   // Per-node delivered-event counts match endpoint for endpoint.
@@ -79,11 +78,8 @@ TEST(ShardDeterminism, ChordIdenticalAcrossShardCountsAndStealModes) {
   EXPECT_EQ(one.completed, four.completed);
   EXPECT_EQ(one.consistent, four.consistent);
   EXPECT_EQ(one.hops, four.hops);
-  // Stealing is a pure scheduling decision: turning it off, or running
-  // more workers than a 4-way split, changes nothing observable.
-  ChordRunResult four_static = RunChord(4, /*steal=*/false);
-  EXPECT_TRUE(four == four_static);
-  ChordRunResult eight = RunChord(8, /*steal=*/true);
+  // Running more workers than a 4-way split changes nothing observable.
+  ChordRunResult eight = RunChord(8);
   EXPECT_TRUE(one == eight);
   // And the run did something: a settled 24-ring answers its lookups.
   EXPECT_GE(one.completed, 6u);
@@ -140,22 +136,20 @@ TEST(ShardDeterminism, GossipIdenticalAcrossShardCounts) {
 }
 
 // A deliberately imbalanced fleet: most endpoints — and nearly all the
-// traffic — live in topology domain 0, so the shard = id-mod-workers map
-// pins almost the whole load on one worker. The balancer must migrate
-// domains off it (steals observed via the registry) while the simulation
-// stays bit-for-bit identical to the 1-shard and steal-off runs.
+// traffic — live in topology domain 0, so the fixed shard -> worker plan
+// puts almost the whole load on worker 0. The simulation must stay
+// bit-for-bit identical to the 1-shard run, and the imbalance gauge must
+// show the lopsided windows.
 struct HotDomainResult {
   std::vector<uint64_t> delivered;
   uint64_t events = 0;
-  uint64_t steals = 0;
-  uint64_t owner_moves = 0;
+  int64_t imbalance_pct = 0;
 };
 
-HotDomainResult RunHotDomainFleet(size_t shards, bool steal) {
+HotDomainResult RunHotDomainFleet(size_t shards) {
   constexpr size_t kDomains = 10;  // stock TopologyConfig
   constexpr size_t kHot = 12;      // endpoints in domain 0
   ShardedSim sim(shards);
-  sim.SetStealing(steal);
   SimNetwork net(&sim, Topology(TopologyConfig{}), /*seed=*/99);
   obs::Registry registry(sim.num_shards() + 1);
   sim.SetObs(&registry, nullptr);
@@ -201,28 +195,23 @@ HotDomainResult RunHotDomainFleet(size_t shards, bool steal) {
   }
   r.events = sim.events_run();
   obs::Snapshot snap = registry.TakeSnapshot();
-  r.steals = snap.counters["p2_shard_steals_total"];
-  r.owner_moves = snap.counters["p2_domain_owner_moves_total"];
+  r.imbalance_pct = snap.gauges["p2_shard_window_imbalance_pct"];
   return r;
 }
 
-TEST(ShardDeterminism, HotDomainMigratesWithoutChangingResults) {
-  HotDomainResult one = RunHotDomainFleet(1, /*steal=*/true);
-  HotDomainResult stolen = RunHotDomainFleet(4, /*steal=*/true);
-  HotDomainResult pinned = RunHotDomainFleet(4, /*steal=*/false);
+TEST(ShardDeterminism, HotDomainFleetIdenticalAtOneAndFourWorkers) {
+  HotDomainResult one = RunHotDomainFleet(1);
+  HotDomainResult four = RunHotDomainFleet(4);
 
-  // Same simulation in all three schedules.
-  EXPECT_EQ(one.delivered, stolen.delivered);
-  EXPECT_EQ(one.delivered, pinned.delivered);
-  EXPECT_EQ(one.events, stolen.events);
-  EXPECT_EQ(one.events, pinned.events);
+  // Same simulation at both worker counts.
+  EXPECT_EQ(one.delivered, four.delivered);
+  EXPECT_EQ(one.events, four.events);
 
-  // The imbalance actually triggered migration — and only with stealing.
-  EXPECT_GT(stolen.steals, 0u);
-  EXPECT_GT(stolen.owner_moves, 0u);
-  EXPECT_EQ(pinned.steals, 0u);
-  EXPECT_EQ(pinned.owner_moves, 0u);
-  EXPECT_EQ(one.steals, 0u);  // one worker: nothing to steal from
+  // The gauge reads max worker load x workers / total load, in percent:
+  // 100 is even, 400 is all on one of four workers. It is only kept with
+  // more than one worker.
+  EXPECT_GT(four.imbalance_pct, 300);
+  EXPECT_EQ(one.imbalance_pct, 0);
 
   // The workload was genuinely lopsided: the hot ring dominates traffic.
   uint64_t hot_msgs = 0;

@@ -1,6 +1,6 @@
 // ShardedSim engine mechanics: the deterministic delivery lane, the
-// conservative-window coordinator, the control timeline, and bounded
-// mailbox backpressure.
+// conservative-window coordinator, the control timeline, and the
+// cross-shard mailbox.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -140,17 +140,15 @@ TEST(ShardedNetwork, CrossShardDatagramRespectsLatency) {
   EXPECT_EQ(net.delivered(), 1u);
 }
 
-// Flood both directions through tiny bounded mailboxes inside one window:
-// blocked senders must relieve pressure by folding their own inbox, so the
-// barrier always completes and every datagram arrives.
-TEST(ShardedNetwork, BoundedMailboxBackpressureDoesNotDeadlock) {
+// Flood both directions inside one window: each shard's whole batch is
+// flushed into the other's mailbox at the barrier and folded at the next
+// window, so every datagram arrives.
+TEST(ShardedNetwork, CrossShardFloodInOneWindowDeliversEverything) {
   constexpr int kMsgs = 500;
   ShardedSim sim(2);
   SimNetwork net(&sim, Topology(TopologyConfig{}), 11);
   auto a = net.MakeTransport("a", 0);
   auto b = net.MakeTransport("b", 1);
-  sim.shard(0)->set_mailbox_capacity(4);
-  sim.shard(1)->set_mailbox_capacity(4);
   int got_a = 0;
   int got_b = 0;
   a->SetReceiver([&](const std::string&, const std::vector<uint8_t>&) { ++got_a; });

@@ -308,6 +308,36 @@ TEST_F(ReliableChannelTest, PlainDatagramsPassThroughToReceiver) {
   EXPECT_EQ(cb_->Stats().acks_sent, 0u);
 }
 
+TEST_F(ReliableChannelTest, MalformedStackFramesAreCountedAndDropped) {
+  MakeEndpoints();
+  // A sealed DATA frame from c, then one payload byte flipped in transit:
+  // the checksum no longer matches, so b must drop it without delivering
+  // or acking anything.
+  auto tc = net_.MakeTransport("c", 2);
+  StackFrame f;
+  f.has_data = true;
+  f.epoch = 5;
+  f.seq = 1;
+  f.payload = {7, 8, 9};
+  std::vector<uint8_t> damaged = EncodeStackFrame(f);
+  damaged[kStackHeaderBytes + 1] ^= 0x01;
+  tc->SendTo("b", damaged, TrafficClass::kMaintenance);
+  loop_.RunUntil(2.0);
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(cb_->Stats().bad_frames, 1u);
+  EXPECT_EQ(cb_->Stats().acks_sent, 0u);
+  EXPECT_EQ(tb_->stats().msgs_out, 0u);
+
+  // A well-formed frame claiming seq 0, which no sender ever assigns, is
+  // the other malformed case.
+  f.seq = 0;
+  tc->SendTo("b", EncodeStackFrame(f), TrafficClass::kMaintenance);
+  loop_.RunUntil(4.0);
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(cb_->Stats().bad_frames, 2u);
+  EXPECT_EQ(tb_->stats().msgs_out, 0u);
+}
+
 TEST_F(ReliableChannelTest, EpochRestartIsNotMistakenForDuplicates) {
   MakeEndpoints();
   ca_->SendTo("b", {1}, TrafficClass::kMaintenance);

@@ -46,7 +46,7 @@ TEST_F(SimNetworkTest, DeliversWithTopologyLatency) {
     EXPECT_EQ(bytes.size(), 3u);
     delivered_at = loop_.Now();
   });
-  a->SendTo("b", {1, 2, 3}, false);
+  a->SendTo("b", {1, 2, 3}, TrafficClass::kMaintenance);
   loop_.RunAll();
   // 104 ms propagation + serialization of 3+28 bytes.
   EXPECT_GT(delivered_at, 0.104);
@@ -56,8 +56,8 @@ TEST_F(SimNetworkTest, DeliversWithTopologyLatency) {
 TEST_F(SimNetworkTest, CountsBytesWithHeaderOverhead) {
   auto a = net_.MakeTransport("a", 0);
   auto b = net_.MakeTransport("b", 1);
-  a->SendTo("b", std::vector<uint8_t>(100, 0), false);
-  a->SendTo("b", std::vector<uint8_t>(50, 0), true);
+  a->SendTo("b", std::vector<uint8_t>(100, 0), TrafficClass::kMaintenance);
+  a->SendTo("b", std::vector<uint8_t>(50, 0), TrafficClass::kLookup);
   loop_.RunAll();
   EXPECT_EQ(a->stats().msgs_out, 2u);
   EXPECT_EQ(a->stats().bytes_out, 100u + 50u + 2 * kUdpIpHeaderBytes);
@@ -75,7 +75,7 @@ TEST_F(SimNetworkTest, SendToDeadNodeVanishes) {
       FAIL() << "delivered to dead node";
     });
   }  // b destroyed: unregistered
-  a->SendTo("b", {1}, false);
+  a->SendTo("b", {1}, TrafficClass::kMaintenance);
   loop_.RunAll();
   EXPECT_EQ(net_.delivered(), 0u);
   // Sender still counted the attempt (it cannot know).
@@ -87,7 +87,7 @@ TEST_F(SimNetworkTest, NodeDyingInFlightDropsPacket) {
   auto b = net_.MakeTransport("b", 1);
   int got = 0;
   b->SetReceiver([&](const std::string&, const std::vector<uint8_t>&) { ++got; });
-  a->SendTo("b", {1}, false);
+  a->SendTo("b", {1}, TrafficClass::kMaintenance);
   loop_.ScheduleAfter(0.01, [&]() { b.reset(); });  // dies before 104ms delivery
   loop_.RunAll();
   EXPECT_EQ(got, 0);
@@ -100,7 +100,7 @@ TEST_F(SimNetworkTest, LossRateDropsApproximately) {
   b->SetReceiver([&](const std::string&, const std::vector<uint8_t>&) { ++got; });
   net_.set_loss_rate(0.5);
   for (int i = 0; i < 1000; ++i) {
-    a->SendTo("b", {1}, false);
+    a->SendTo("b", {1}, TrafficClass::kMaintenance);
   }
   loop_.RunAll();
   EXPECT_GT(got, 400);

@@ -104,11 +104,11 @@ TEST(Wire, WireSizeIncludesHeaders) {
 }
 
 TEST(Wire, LookupTrafficClassifier) {
-  EXPECT_TRUE(IsLookupTraffic("lookup"));
-  EXPECT_TRUE(IsLookupTraffic("lookupResults"));
-  EXPECT_TRUE(IsLookupTraffic("blookup"));
-  EXPECT_FALSE(IsLookupTraffic("stabilize"));
-  EXPECT_FALSE(IsLookupTraffic("pingReq"));
+  EXPECT_EQ(TrafficClassOf("lookup"), TrafficClass::kLookup);
+  EXPECT_EQ(TrafficClassOf("lookupResults"), TrafficClass::kLookup);
+  EXPECT_EQ(TrafficClassOf("blookup"), TrafficClass::kLookup);
+  EXPECT_EQ(TrafficClassOf("stabilize"), TrafficClass::kMaintenance);
+  EXPECT_EQ(TrafficClassOf("pingReq"), TrafficClass::kMaintenance);
 }
 
 TEST(ByteIo, PrimitivesRoundTrip) {

@@ -32,7 +32,7 @@ TEST(UdpLoop, DatagramRoundTrip) {
     got_from = from;
     loop.Stop();
   });
-  a->SendTo(b->local_addr(), {1, 2, 3, 4}, false);
+  a->SendTo(b->local_addr(), {1, 2, 3, 4}, TrafficClass::kMaintenance);
   loop.RunFor(2.0);
   EXPECT_EQ(got, (std::vector<uint8_t>{1, 2, 3, 4}));
   EXPECT_EQ(got_from, a->local_addr());
@@ -69,8 +69,8 @@ TEST(UdpLoop, BandwidthAccountingIsSymmetric) {
 TEST(UdpLoop, BadDestinationIsDroppedGracefully) {
   UdpLoop loop;
   auto a = loop.MakeTransport(0);
-  a->SendTo("not-an-address", {1}, false);
-  a->SendTo("127.0.0.1:0", {1}, false);
+  a->SendTo("not-an-address", {1}, TrafficClass::kMaintenance);
+  a->SendTo("127.0.0.1:0", {1}, TrafficClass::kMaintenance);
   loop.RunFor(0.05);  // nothing should crash
 }
 
@@ -82,13 +82,13 @@ TEST(UdpLoop, OversizeDatagramCountedNotSent) {
   // EMSGSIZE. The failure must be counted, and must stay out of the
   // evaluation's bandwidth figures (nothing reached the wire).
   std::vector<uint8_t> huge(256 * 1024, 0x5A);
-  a->SendTo(b->local_addr(), std::move(huge), false);
+  a->SendTo(b->local_addr(), std::move(huge), TrafficClass::kMaintenance);
   EXPECT_EQ(a->send_failures().oversize, 1u);
   EXPECT_EQ(a->send_failures().total(), 1u);
   EXPECT_EQ(a->stats().msgs_out, 0u);
   EXPECT_EQ(a->stats().bytes_out, 0u);
   // A normal datagram afterwards goes through and is accounted.
-  a->SendTo(b->local_addr(), {1, 2, 3}, false);
+  a->SendTo(b->local_addr(), {1, 2, 3}, TrafficClass::kMaintenance);
   EXPECT_EQ(a->stats().msgs_out, 1u);
   EXPECT_EQ(a->send_failures().total(), 1u);
 }
