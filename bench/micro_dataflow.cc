@@ -4,12 +4,14 @@
 //
 // Measured here: element push/pull handoff, PEL dispatch, stream×table
 // equijoin probes through a rule strand, table insertion, tuple
-// marshaling, and end-to-end rule firing through a compiled OverLog rule.
+// marshaling, the datagram path (framing, checksum, delivery lane), and
+// end-to-end rule firing through a compiled OverLog rule.
 #include <benchmark/benchmark.h>
 
 #include "src/dataflow/basic_elements.h"
 #include "src/dataflow/graph.h"
 #include "src/dataflow/rel_elements.h"
+#include "src/net/wire.h"
 #include "src/obs/registry.h"
 #include "src/p2/node.h"
 #include "src/runtime/marshal.h"
@@ -273,12 +275,16 @@ void BM_TimerScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerScheduleCancel)->Arg(1024)->Arg(16384);
 
-// --- Marshaling ---
+// --- Marshaling and the datagram path ---
 
+// One exactly-sized buffer per tuple: MarshaledSize, then one pass.
 void BM_MarshalTuple(benchmark::State& state) {
   TuplePtr t = BenchTuple();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MarshalTupleToBytes(*t));
+    ByteWriter w(MarshaledSize(*t));
+    MarshalTuple(*t, &w);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MarshalTuple);
@@ -290,6 +296,62 @@ void BM_UnmarshalTuple(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnmarshalTuple);
+
+// A datagram's wire work on both ends: frame and seal at the sender,
+// verify and decode at the receiver, whose addresses come from an address
+// cache like the one each P2Node owns.
+void BM_FrameUnframe(benchmark::State& state) {
+  TuplePtr t = BenchTuple();
+  AddrCache addrs;
+  for (auto _ : state) {
+    std::vector<uint8_t> frame = FrameTuple(*t);
+    benchmark::DoNotOptimize(UnframeTuple(frame, &addrs));
+  }
+}
+BENCHMARK(BM_FrameUnframe);
+
+void BM_WireChecksum(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 131);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(WireChecksum(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireChecksum)->Arg(64)->Arg(1024);
+
+// The simulator's delivery lane holding N datagrams: every delivery
+// re-sends a copy one virtual second later, so one iteration turns the
+// whole lane over once (N deliveries; see items_per_second). Many sources
+// share each instant, so the (at, src, seq) order breaks ties.
+void BM_DeliveryLane(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  SimEventLoop loop;
+  uint64_t seq = 0;
+  loop.SetDeliverFn([&](const SimDelivery& d) {
+    SimDelivery next = d;
+    next.at = d.at + 1.0;
+    next.seq = seq++;
+    loop.EnqueueLocal(std::move(next));
+  });
+  for (int64_t i = 0; i < n; ++i) {
+    SimDelivery d;
+    d.at = 1.0 + static_cast<double>(i % 17) * 1e-3;
+    d.src = static_cast<uint64_t>(i % 64);
+    d.seq = seq++;
+    d.from = "n" + std::to_string(i % 64);
+    d.to = "n" + std::to_string((i * 7) % 64);
+    d.bytes.assign(96, static_cast<uint8_t>(i));
+    loop.EnqueueLocal(std::move(d));
+  }
+  for (auto _ : state) {
+    loop.RunUntil(loop.Now() + 1.0);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DeliveryLane)->Arg(1024);
 
 // --- End-to-end compiled rule firing ---
 

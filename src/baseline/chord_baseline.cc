@@ -24,6 +24,14 @@ BaselineChordNode::BaselineChordNode(Executor* executor, Transport* transport, u
       id_(Uint160::HashOf(addr_)),
       landmark_(std::move(landmark_addr)) {
   fingers_.resize(config_.num_fingers);
+  // Frames decode only under tuple names this process has interned (see
+  // UnmarshalTuple), and this node never installs a program that would
+  // intern them: do it here, or the first message of a kind this process
+  // has not yet sent itself would be dropped.
+  for (const char* name :
+       {"blookup", "blookupRes", "bstabReq", "bstabResp", "bnotify", "bping", "bpong"}) {
+    InternSchema(name);
+  }
   transport_->SetReceiver(
       [this](const std::string& from, const std::vector<uint8_t>& bytes) {
         OnPacket(from, bytes);

@@ -5,23 +5,17 @@
 
 namespace p2 {
 
-namespace {
-// The checksum field sits right after magic+version; it covers every byte
-// that follows it (flags, counters, payload).
-constexpr size_t kChecksumOffset = 2;
-constexpr size_t kChecksummedFrom = kChecksumOffset + 4;
-}  // namespace
-
 std::vector<uint8_t> EncodeStackFrame(const StackFrame& f) {
   return EncodeStackFrame(f, f.payload);
 }
 
 std::vector<uint8_t> EncodeStackFrame(const StackFrame& f,
                                       const std::vector<uint8_t>& payload) {
-  ByteWriter w;
+  size_t body = f.has_data ? payload.size() : 0;
+  ByteWriter w(kStackHeaderBytes + body);
   w.PutU8(kStackMagic);
   w.PutU8(kStackVersion);
-  w.PutU32(0);  // checksum placeholder, patched below
+  w.PutU32(0);  // checksum, sealed below
   uint8_t flags = 0;
   if (f.has_data) {
     flags |= kStackFlagData;
@@ -35,35 +29,21 @@ std::vector<uint8_t> EncodeStackFrame(const StackFrame& f,
   w.PutU32(f.ack_epoch);
   w.PutU32(f.cum_ack);
   w.PutU32(f.sack_bits);
-  if (f.has_data && !payload.empty()) {
-    w.PutBytes(payload.data(), payload.size());
-  }
+  w.PutBytes(payload.data(), body);
   std::vector<uint8_t> bytes = w.Take();
-  uint32_t sum = WireChecksum(bytes.data() + kChecksummedFrom,
-                              bytes.size() - kChecksummedFrom);
-  bytes[kChecksumOffset + 0] = static_cast<uint8_t>(sum);
-  bytes[kChecksumOffset + 1] = static_cast<uint8_t>(sum >> 8);
-  bytes[kChecksumOffset + 2] = static_cast<uint8_t>(sum >> 16);
-  bytes[kChecksumOffset + 3] = static_cast<uint8_t>(sum >> 24);
+  SealFrame(&bytes);
   return bytes;
 }
 
 std::optional<StackFrame> DecodeStackFrame(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  uint8_t magic;
-  uint8_t version;
-  uint32_t checksum;
+  if (bytes.size() < kFrameBodyOffset || bytes[0] != kStackMagic ||
+      bytes[1] != kStackVersion || !FrameSealIntact(bytes)) {
+    return std::nullopt;
+  }
+  ByteReader r(bytes.data() + kFrameBodyOffset, bytes.size() - kFrameBodyOffset);
   uint8_t flags;
   StackFrame f;
-  if (!r.GetU8(&magic) || !r.GetU8(&version) || !r.GetU32(&checksum) ||
-      !r.GetU8(&flags) || magic != kStackMagic || version != kStackVersion) {
-    return std::nullopt;
-  }
-  if (checksum != WireChecksum(bytes.data() + kChecksummedFrom,
-                               bytes.size() - kChecksummedFrom)) {
-    return std::nullopt;
-  }
-  if ((flags & ~(kStackFlagData | kStackFlagAck)) != 0 || flags == 0) {
+  if (!r.GetU8(&flags) || (flags & ~(kStackFlagData | kStackFlagAck)) != 0 || flags == 0) {
     return std::nullopt;
   }
   f.has_data = (flags & kStackFlagData) != 0;

@@ -11,7 +11,7 @@
 //
 // Layout (little-endian, fixed width):
 //   u8  magic      0xD5
-//   u8  version    0x02
+//   u8  version    0x03
 //   u32 checksum   WireChecksum over everything after this field
 //   u8  flags      bit0 = carries data, bit1 = carries ack
 //   u32 epoch      sender's channel incarnation (data stream id)
@@ -23,7 +23,9 @@
 //
 // The checksum stands in for the UDP checksum the simulated wire lacks:
 // a frame damaged by the corruption fault axis must fail DecodeStackFrame
-// rather than resurface as plausible protocol state.
+// rather than resurface as plausible protocol state. The header shape and
+// its sealing are shared with tuple frames (SealFrame in src/net/wire.h);
+// encoding sizes the datagram exactly and writes it in one pass.
 //
 // DATA frames piggyback the current ACK state of the reverse direction
 // (both flag bits set) so steady bidirectional traffic needs no pure ACKs.
@@ -37,7 +39,7 @@
 namespace p2 {
 
 inline constexpr uint8_t kStackMagic = 0xD5;
-inline constexpr uint8_t kStackVersion = 0x02;
+inline constexpr uint8_t kStackVersion = 0x03;
 inline constexpr uint8_t kStackFlagData = 0x01;
 inline constexpr uint8_t kStackFlagAck = 0x02;
 inline constexpr size_t kStackHeaderBytes = 3 + 6 * 4;

@@ -267,7 +267,7 @@ void P2Node::RouteTuple(const TuplePtr& t) {
 
 void P2Node::OnPacket(const std::string& from, const std::vector<uint8_t>& bytes) {
   (void)from;
-  std::optional<TuplePtr> t = UnframeTuple(bytes);
+  std::optional<TuplePtr> t = UnframeTuple(bytes, &addr_cache_);
   if (!t.has_value()) {
     ++stats_.bad_packets;
     if (obs_bad_packets_ != nullptr) {

@@ -17,6 +17,7 @@
 #include "src/dataflow/rel_elements.h"
 #include "src/net/transport.h"
 #include "src/runtime/executor.h"
+#include "src/runtime/marshal.h"
 #include "src/runtime/random.h"
 #include "src/table/table.h"
 
@@ -126,6 +127,9 @@ class P2Node {
   Rng rng_;
   NodeStats stats_;
   std::string plan_explain_;
+  // Received addresses reuse these reps. Per node, never per thread: Value
+  // refcounts are plain integers, and a node's Values stay on its shard.
+  AddrCache addr_cache_;
 
   Graph graph_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;  // ownership

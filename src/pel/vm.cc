@@ -40,10 +40,10 @@ bool RingInterval(PelOp op, const Value& x, const Value& lo, const Value& hi) {
 }
 
 Value HashToId(const Value& v) {
-  ByteWriter w;
+  ByteWriter w(MarshaledSize(v));
   MarshalValue(v, &w);
   return Value::Id(Uint160::HashOf(
-      std::string_view(reinterpret_cast<const char*>(w.buffer().data()), w.size())));
+      std::string_view(reinterpret_cast<const char*>(w.data()), w.size())));
 }
 
 }  // namespace

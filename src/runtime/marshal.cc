@@ -1,82 +1,13 @@
 #include "src/runtime/marshal.h"
 
-#include <cstring>
+#include <algorithm>
+#include <functional>
+#include <string>
 
 namespace p2 {
 
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void ByteWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void ByteWriter::PutBytes(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
-}
-
-void ByteWriter::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  PutBytes(s.data(), s.size());
-}
-
-bool ByteReader::GetU8(uint8_t* v) {
-  if (pos_ + 1 > size_) {
-    return false;
-  }
-  *v = data_[pos_++];
-  return true;
-}
-
-bool ByteReader::GetU16(uint16_t* v) {
-  uint8_t a;
-  uint8_t b;
-  if (!GetU8(&a) || !GetU8(&b)) {
-    return false;
-  }
-  *v = static_cast<uint16_t>(a | (b << 8));
-  return true;
-}
-
-bool ByteReader::GetU32(uint32_t* v) {
-  if (pos_ + 4 > size_) {
-    return false;
-  }
-  uint32_t r = 0;
-  for (int i = 0; i < 4; ++i) {
-    r |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-  }
-  *v = r;
-  return true;
-}
-
-bool ByteReader::GetU64(uint64_t* v) {
-  if (pos_ + 8 > size_) {
-    return false;
-  }
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-  }
-  *v = r;
-  return true;
+void ByteWriter::Grow(size_t n) {
+  buf_.resize(std::max({buf_.size() * 2, size_ + n, size_t{64}}));
 }
 
 bool ByteReader::GetDouble(double* v) {
@@ -88,16 +19,50 @@ bool ByteReader::GetDouble(double* v) {
   return true;
 }
 
-bool ByteReader::GetString(std::string* s) {
+bool ByteReader::GetString(std::string_view* s) {
   uint32_t n;
-  // Cap the claimed length against the bytes actually remaining before any
-  // allocation: a malicious 4 GB length must not reach assign/reserve.
-  if (!GetU32(&n) || n > size_ - pos_) {
+  // Cap the claimed length against the bytes actually remaining: a
+  // malicious 4 GB length must not reach an allocation or a read.
+  if (!GetU32(&n) || n > remaining()) {
     return false;
   }
-  s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
+  *s = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return true;
+}
+
+Value AddrCache::Get(std::string_view addr) {
+  Value& slot = slots_[std::hash<std::string_view>()(addr) % kSlots];
+  if (slot.type() != ValueType::kAddr || slot.AsAddr() != addr) {
+    slot = Value::Addr(std::string(addr));
+  }
+  return slot;
+}
+
+size_t MarshaledSize(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kBool:
+      return 1 + 1;
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return 1 + 8;
+    case ValueType::kStr:
+      return 1 + 4 + v.AsStr().size();
+    case ValueType::kId:
+      return 1 + 8 + 8 + 4;
+    case ValueType::kAddr:
+      return 1 + 4 + v.AsAddr().size();
+    case ValueType::kList: {
+      size_t n = 1 + 4;
+      for (const Value& item : v.AsList()) {
+        n += MarshaledSize(item);
+      }
+      return n;
+    }
+  }
+  return 1;
 }
 
 void MarshalValue(const Value& v, ByteWriter* w) {
@@ -145,7 +110,7 @@ namespace {
 // decoder tens of thousands of frames deep and overflow the stack.
 constexpr int kMaxUnmarshalDepth = 32;
 
-bool UnmarshalValueAtDepth(ByteReader* r, Value* out, int depth) {
+bool UnmarshalValueAtDepth(ByteReader* r, Value* out, AddrCache* addrs, int depth) {
   if (depth > kMaxUnmarshalDepth) {
     return false;
   }
@@ -182,11 +147,11 @@ bool UnmarshalValueAtDepth(ByteReader* r, Value* out, int depth) {
       return true;
     }
     case ValueType::kStr: {
-      std::string s;
+      std::string_view s;
       if (!r->GetString(&s)) {
         return false;
       }
-      *out = Value::Str(std::move(s));
+      *out = Value::Str(std::string(s));
       return true;
     }
     case ValueType::kId: {
@@ -200,11 +165,11 @@ bool UnmarshalValueAtDepth(ByteReader* r, Value* out, int depth) {
       return true;
     }
     case ValueType::kAddr: {
-      std::string s;
+      std::string_view s;
       if (!r->GetString(&s)) {
         return false;
       }
-      *out = Value::Addr(std::move(s));
+      *out = addrs != nullptr ? addrs->Get(s) : Value::Addr(std::string(s));
       return true;
     }
     case ValueType::kList: {
@@ -218,7 +183,7 @@ bool UnmarshalValueAtDepth(ByteReader* r, Value* out, int depth) {
       items.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         Value v;
-        if (!UnmarshalValueAtDepth(r, &v, depth + 1)) {
+        if (!UnmarshalValueAtDepth(r, &v, addrs, depth + 1)) {
           return false;
         }
         items.push_back(std::move(v));
@@ -235,8 +200,16 @@ bool UnmarshalValueAtDepth(ByteReader* r, Value* out, int depth) {
 
 }  // namespace
 
-bool UnmarshalValue(ByteReader* r, Value* out) {
-  return UnmarshalValueAtDepth(r, out, 0);
+bool UnmarshalValue(ByteReader* r, Value* out, AddrCache* addrs) {
+  return UnmarshalValueAtDepth(r, out, addrs, 0);
+}
+
+size_t MarshaledSize(const Tuple& t) {
+  size_t n = 4 + t.name().size() + 2;
+  for (const Value& v : t.fields()) {
+    n += MarshaledSize(v);
+  }
+  return n;
 }
 
 bool MarshalTuple(const Tuple& t, ByteWriter* w) {
@@ -253,26 +226,27 @@ bool MarshalTuple(const Tuple& t, ByteWriter* w) {
   return true;
 }
 
-std::optional<TuplePtr> UnmarshalTuple(ByteReader* r) {
-  std::string name;
+std::optional<TuplePtr> UnmarshalTuple(ByteReader* r, AddrCache* addrs) {
+  std::string_view name;
   uint16_t n;
   if (!r->GetString(&name) || !r->GetU16(&n) || n > r->remaining()) {
     return std::nullopt;
   }
-  std::vector<Value> fields;
-  fields.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    Value v;
-    if (!UnmarshalValue(r, &v)) {
+  SchemaId schema = FindSchema(name);
+  if (schema == kInvalidSchema) {
+    return std::nullopt;
+  }
+  std::vector<Value> fields(n);
+  for (Value& v : fields) {
+    if (!UnmarshalValue(r, &v, addrs)) {
       return std::nullopt;
     }
-    fields.push_back(std::move(v));
   }
-  return Tuple::Make(std::move(name), std::move(fields));
+  return Tuple::Make(schema, std::move(fields));
 }
 
 std::vector<uint8_t> MarshalTupleToBytes(const Tuple& t) {
-  ByteWriter w;
+  ByteWriter w(MarshaledSize(t));
   if (!MarshalTuple(t, &w)) {
     return {};
   }

@@ -2,15 +2,6 @@
 
 namespace p2 {
 
-Tuple::Tuple(SchemaId schema, std::vector<Value> fields)
-    : schema_(schema), fields_(std::move(fields)) {
-  size_t h = 0x9E3779B97F4A7C15ull ^ schema_;
-  for (const Value& v : fields_) {
-    h = h * 1099511628211ull + v.HashValue();
-  }
-  hash_ = h;
-}
-
 std::vector<Value> Tuple::KeyOf(const std::vector<size_t>& positions) const {
   std::vector<Value> key;
   key.reserve(positions.size());

@@ -7,7 +7,7 @@
 //
 // The tuple name is interned into a SchemaId at construction: all dispatch
 // (demux routing, table/watcher lookup, identity checks) compares small
-// integers, and the whole-tuple hash is computed once and cached.
+// integers.
 #ifndef P2_RUNTIME_TUPLE_H_
 #define P2_RUNTIME_TUPLE_H_
 
@@ -27,7 +27,8 @@ class Tuple {
  public:
   Tuple(std::string_view name, std::vector<Value> fields)
       : Tuple(InternSchema(name), std::move(fields)) {}
-  Tuple(SchemaId schema, std::vector<Value> fields);
+  Tuple(SchemaId schema, std::vector<Value> fields)
+      : schema_(schema), fields_(std::move(fields)) {}
 
   static TuplePtr Make(std::string_view name, std::vector<Value> fields) {
     return std::make_shared<const Tuple>(name, std::move(fields));
@@ -42,9 +43,6 @@ class Tuple {
   const Value& field(size_t i) const { return fields_[i]; }
   const std::vector<Value>& fields() const { return fields_; }
 
-  // Hash over (schema, fields), folded once at construction.
-  size_t hash() const { return hash_; }
-
   // By OverLog convention the first field of every tuple carries the
   // location specifier (the address the tuple lives at / is destined for).
   const Value& locspec() const { return fields_[0]; }
@@ -52,14 +50,13 @@ class Tuple {
   // Projects the key columns (0-based positions) out of this tuple.
   std::vector<Value> KeyOf(const std::vector<size_t>& positions) const;
 
-  // Content equality; short-circuits on schema and cached hash.
+  // Content equality; short-circuits on identity, schema and arity.
   bool SameAs(const Tuple& o) const;
 
   std::string ToString() const;
 
  private:
   SchemaId schema_;
-  size_t hash_;
   std::vector<Value> fields_;
 };
 

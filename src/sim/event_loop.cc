@@ -28,7 +28,19 @@ void SimEventLoop::Cancel(TimerId id) {
   }
 }
 
-void SimEventLoop::EnqueueLocal(SimDelivery d) { msgs_.push(std::move(d)); }
+void SimEventLoop::EnqueueLocal(SimDelivery d) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slab_.size());
+    slab_.push_back(std::move(d));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(d);
+  }
+  const SimDelivery& parked = slab_[slot];
+  keys_.push(DeliveryKey{parked.at, parked.src, parked.seq, slot});
+}
 
 void SimEventLoop::SetPeers(std::vector<SimEventLoop*> peers) {
   peers_ = std::move(peers);
@@ -67,11 +79,11 @@ void SimEventLoop::DrainMailbox() {
     obs_mailbox_depth_->Observe(drained.size());
   }
   for (SimDelivery& d : drained) {
-    msgs_.push(std::move(d));
+    EnqueueLocal(std::move(d));
   }
 }
 
-size_t SimEventLoop::pending() const { return wheel_.size() + msgs_.size(); }
+size_t SimEventLoop::pending() const { return wheel_.size() + keys_.size(); }
 
 void SimEventLoop::RunWindow(double end, bool inclusive) {
   // Fold what peers flushed to us during the previous window. Conservative
@@ -90,16 +102,20 @@ void SimEventLoop::RunWindow(double end, bool inclusive) {
     // Timers before deliveries at equal instants (a fixed rule, so the
     // interleaving never depends on which shard hosts the sender).
     double msg_at =
-        msgs_.empty() ? std::numeric_limits<double>::infinity() : msgs_.top().at;
+        keys_.empty() ? std::numeric_limits<double>::infinity() : keys_.top().at;
     if (wheel_.PopDue(std::min(cap, msg_at), &at, &task)) {
       now_ = std::max(now_, at);
       ++events_run_;
       task();
       continue;
     }
-    if (!msgs_.empty() && msg_at <= cap) {
-      SimDelivery d = std::move(const_cast<SimDelivery&>(msgs_.top()));
-      msgs_.pop();
+    if (!keys_.empty() && msg_at <= cap) {
+      uint32_t slot = keys_.top().slot;
+      keys_.pop();
+      // Moved out before the upcall: a send from inside it may grow the
+      // slab and would invalidate a reference into it.
+      SimDelivery d = std::move(slab_[slot]);
+      free_slots_.push_back(slot);
       now_ = std::max(now_, d.at);
       ++events_run_;
       if (deliver_) {

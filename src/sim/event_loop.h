@@ -10,6 +10,9 @@
 //    from the *content* of the message stream, never from scheduling
 //    accidents, so a fleet partitioned across N shards delivers each
 //    node's datagrams in exactly the order the single-shard run would.
+//    The heap orders 32-byte (at, src, seq, slot) keys; each payload sits
+//    still in a slot of a slab until it is delivered, and freed slots are
+//    reused, so a sift never moves addresses or bytes.
 //
 // At equal timestamps timers fire before deliveries. Cross-shard senders
 // stage datagrams into per-destination outboxes local to the sending loop,
@@ -112,12 +115,23 @@ class SimEventLoop : public Executor {
   // Number of events executed so far — timer fires plus deliveries.
   uint64_t events_run() const { return events_run_; }
   size_t pending() const;
+  // Payload slots the delivery lane has allocated: the most deliveries it
+  // ever held at once, since a delivered payload's slot is reused.
+  size_t delivery_slots() const { return slab_.size(); }
 
  private:
   friend class ShardedSim;
 
+  // A pending delivery's order key and the slab slot of its payload.
+  struct DeliveryKey {
+    double at;
+    uint64_t src;
+    uint64_t seq;
+    uint32_t slot;
+  };
+  static_assert(sizeof(DeliveryKey) == 32, "delivery heap keys stay 32 bytes");
   struct DeliveryAfter {
-    bool operator()(const SimDelivery& a, const SimDelivery& b) const {
+    bool operator()(const DeliveryKey& a, const DeliveryKey& b) const {
       if (a.at != b.at) {
         return a.at > b.at;
       }
@@ -143,7 +157,9 @@ class SimEventLoop : public Executor {
   size_t shard_index_ = 0;  // set by ShardedSim
   TimerWheel wheel_;
   DeliverFn deliver_;
-  std::priority_queue<SimDelivery, std::vector<SimDelivery>, DeliveryAfter> msgs_;
+  std::priority_queue<DeliveryKey, std::vector<DeliveryKey>, DeliveryAfter> keys_;
+  std::vector<SimDelivery> slab_;     // payloads, indexed by DeliveryKey::slot
+  std::vector<uint32_t> free_slots_;  // slab slots whose payload was delivered
 
   std::mutex mailbox_mu_;
   std::vector<SimDelivery> mailbox_;

@@ -16,6 +16,22 @@ BaselineChordConfig FastBaseline() {
   return c;
 }
 
+// Frames decode only under tuple names the receiving process has interned,
+// and a baseline node installs no program that would intern its protocol's
+// names: construction must, or a process that has never sent a bpong
+// would drop the first one it receives. This is the binary's first test,
+// so no earlier test has built one of these tuples.
+TEST(BaselineChord, ConstructionInternsTheProtocolNames) {
+  SimEventLoop loop;
+  SimNetwork net(&loop, Topology(TopologyConfig{}), 9);
+  auto t = net.MakeTransport("b0", 0);
+  BaselineChordNode node(&loop, t.get(), 1, FastBaseline(), "");
+  for (const char* name :
+       {"blookup", "blookupRes", "bstabReq", "bstabResp", "bnotify", "bping", "bpong"}) {
+    EXPECT_NE(FindSchema(name), kInvalidSchema) << name;
+  }
+}
+
 TEST(BaselineChord, SingleNodeSelfRing) {
   SimEventLoop loop;
   SimNetwork net(&loop, Topology(TopologyConfig{}), 9);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/net/wire.h"
 #include "src/p2/node.h"
+#include "src/runtime/marshal.h"
 #include "src/sim/network.h"
 
 namespace p2 {
@@ -417,6 +420,60 @@ TEST_F(PlannerNodeTest, WrongArityWireTuplesAreDropped) {
   n->Inject(Tuple::Make("ev", {Value::Addr("n1"), Value::Int(1)}));
   loop_.RunUntil(2.0);
   EXPECT_EQ(outs, 1);
+}
+
+// Received addresses come from the node's direct-mapped address cache.
+// Frames carrying far more distinct addresses than it has slots must still
+// deliver every tuple with its own addresses, as values equal to freshly
+// built ones.
+TEST_F(PlannerNodeTest, ReceivedAddressesSurviveCacheEvictions) {
+  auto n = Install(t1_.get(), "r1 got@X(X,A,B) :- hello@X(X,A,B).\n", 1);
+  std::vector<std::pair<std::string, std::string>> got;
+  n->Subscribe("hello", [&](const TuplePtr& t) {
+    EXPECT_EQ(t->field(1), Value::Addr(t->field(1).AsAddr()));
+    EXPECT_EQ(t->field(2).HashValue(), Value::Addr(t->field(2).AsAddr()).HashValue());
+    got.emplace_back(t->field(1).AsAddr(), t->field(2).AsAddr());
+  });
+  n->Start();
+  std::vector<std::pair<std::string, std::string>> want;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      std::string a = "peer" + std::to_string(i);
+      std::string b = "10.1." + std::to_string(i % 7) + "." + std::to_string(i) + ":4000";
+      want.emplace_back(a, b);
+      t2_->SendTo("n1",
+                  FrameTuple(Tuple("hello", {Value::Addr("n1"), Value::Addr(a), Value::Addr(b)})),
+                  TrafficClass::kMaintenance);
+    }
+  }
+  loop_.RunUntil(5.0);
+  // Frame sizes differ, so serialization delay reorders arrivals.
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(n->stats().tuples_from_net, want.size());
+}
+
+// A peer cannot grow the process-wide atom table: a frame naming a
+// predicate nobody interned is a bad packet, and nothing is interned.
+TEST_F(PlannerNodeTest, FrameNamingAnUninternedPredicateIsABadPacket) {
+  auto n = Install(t1_.get(), "r1 got@X(X) :- hello@X(X).\n", 1);
+  n->Start();
+  ByteWriter w;
+  w.PutU8(kTupleMagic);
+  w.PutU8(kTupleVersion);
+  w.PutU32(0);
+  w.PutString("no_program_names_this_predicate");
+  w.PutU16(1);
+  MarshalValue(Value::Addr("n1"), &w);
+  std::vector<uint8_t> frame = w.Take();
+  SealFrame(&frame);
+  size_t schemas = SchemaCount();
+  t2_->SendTo("n1", std::move(frame), TrafficClass::kMaintenance);
+  loop_.RunUntil(1.0);
+  EXPECT_EQ(n->stats().bad_packets, 1u);
+  EXPECT_EQ(n->stats().tuples_from_net, 0u);
+  EXPECT_EQ(SchemaCount(), schemas);
 }
 
 TEST_F(PlannerNodeTest, InjectRoutesByLocationSpecifier) {

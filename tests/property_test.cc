@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "src/net/wire.h"
 #include "src/overlog/compile_expr.h"
 #include "src/overlog/parser.h"
 #include "src/pel/vm.h"
@@ -81,6 +82,27 @@ TEST_P(MarshalProperty, RandomTuplesRoundTrip) {
     }
     TuplePtr t = Tuple::Make("t" + std::to_string(i % 7), std::move(fields));
     std::optional<TuplePtr> back = UnmarshalTupleFromBytes(MarshalTupleToBytes(*t));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE((*back)->SameAs(*t));
+  }
+}
+
+// MarshaledSize is the exact marshaled length (a frame adds its 6-byte
+// header), and frames decoded through one AddrCache — evicting as the
+// random addresses collide — equal their originals.
+TEST_P(MarshalProperty, FramesAreExactlySizedAndDecodeThroughAnAddrCache) {
+  Rng rng(GetParam() ^ 0x5123);
+  AddrCache addrs;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Value> fields;
+    for (uint64_t n = rng.NextBelow(8); n > 0; --n) {
+      fields.push_back(RandomValue(&rng, 3));
+    }
+    TuplePtr t = Tuple::Make("t" + std::to_string(i % 7), std::move(fields));
+    std::vector<uint8_t> frame = FrameTuple(*t);
+    EXPECT_EQ(MarshaledSize(*t) + 6, frame.size());
+    EXPECT_EQ(MarshaledSize(*t), MarshalTupleToBytes(*t).size());
+    std::optional<TuplePtr> back = UnframeTuple(frame, &addrs);
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE((*back)->SameAs(*t));
   }

@@ -73,15 +73,60 @@ TEST(StackFrame, EmptyPayloadDataFrame) {
   EXPECT_TRUE(d->payload.empty());
 }
 
-// Recomputes the header checksum (bytes 2..5, covering everything after it)
-// so a deliberate field mutation exercises its own rejection path instead of
-// tripping the integrity check first.
-void ResealChecksum(std::vector<uint8_t>& bytes) {
-  uint32_t sum = WireChecksum(bytes.data() + 6, bytes.size() - 6);
-  bytes[2] = static_cast<uint8_t>(sum);
-  bytes[3] = static_cast<uint8_t>(sum >> 8);
-  bytes[4] = static_cast<uint8_t>(sum >> 16);
-  bytes[5] = static_cast<uint8_t>(sum >> 24);
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 3) {
+    out.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+StackFrame GoldenDataAck() {
+  StackFrame f;
+  f.has_data = true;
+  f.has_ack = true;
+  f.epoch = 0x01020304;
+  f.seq = 5;
+  f.ack_epoch = 0x0A0B0C0D;
+  f.cum_ack = 17;
+  f.sack_bits = 0x80000001;
+  f.payload = {0xD2, 0xEE, 0x01};
+  return f;
+}
+
+StackFrame GoldenPureAck() {
+  StackFrame f;
+  f.has_ack = true;
+  f.epoch = 9;
+  f.ack_epoch = 3;
+  f.cum_ack = 2;
+  f.sack_bits = 0x6;
+  return f;
+}
+
+// The exact bytes on the wire: magic, version, checksum, flags, five
+// little-endian u32 counters, then the payload of a DATA frame.
+TEST(StackFrame, GoldenBytes) {
+  EXPECT_EQ(EncodeStackFrame(GoldenDataAck()),
+            FromHex("d5 03 fd 44 cb 9f 03 04 03 02 01 05 00 00 00 0d 0c 0b 0a 11 00 00 00 "
+                    "01 00 00 80 d2 ee 01 "));
+  EXPECT_EQ(EncodeStackFrame(GoldenPureAck()),
+            FromHex("d5 03 00 5c e6 59 02 09 00 00 00 00 00 00 00 03 00 00 00 02 00 00 00 "
+                    "06 00 00 00 "));
+}
+
+TEST(StackFrame, AnyDamagedByteSinksTheFrame) {
+  for (const StackFrame& f : {GoldenDataAck(), GoldenPureAck()}) {
+    const std::vector<uint8_t> good = EncodeStackFrame(f);
+    ASSERT_TRUE(DecodeStackFrame(good).has_value());
+    for (size_t pos = 0; pos < good.size(); ++pos) {
+      for (int mask = 1; mask < 256; ++mask) {
+        std::vector<uint8_t> bad = good;
+        bad[pos] ^= static_cast<uint8_t>(mask);
+        EXPECT_FALSE(DecodeStackFrame(bad).has_value()) << "byte " << pos << " ^ " << mask;
+      }
+    }
+  }
 }
 
 TEST(StackFrame, MalformedInputRejected) {
@@ -114,12 +159,12 @@ TEST(StackFrame, MalformedInputRejected) {
 
   std::vector<uint8_t> unknown_flags = good;
   unknown_flags[6] = 0x80 | unknown_flags[6];
-  ResealChecksum(unknown_flags);
+  SealFrame(&unknown_flags);
   EXPECT_FALSE(DecodeStackFrame(unknown_flags).has_value());
 
   std::vector<uint8_t> no_flags = good;
   no_flags[6] = 0;
-  ResealChecksum(no_flags);
+  SealFrame(&no_flags);
   EXPECT_FALSE(DecodeStackFrame(no_flags).has_value());
 
   // A pure ACK with trailing bytes is garbage, not a payload.
@@ -127,7 +172,7 @@ TEST(StackFrame, MalformedInputRejected) {
   ack.has_ack = true;
   std::vector<uint8_t> trailing = EncodeStackFrame(ack);
   trailing.push_back(0x55);
-  ResealChecksum(trailing);
+  SealFrame(&trailing);
   EXPECT_FALSE(DecodeStackFrame(trailing).has_value());
 
   EXPECT_FALSE(DecodeStackFrame({}).has_value());

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/net/transport.h"
 #include "src/net/wire.h"
 #include "src/runtime/marshal.h"
@@ -47,9 +51,10 @@ TEST(Tuple, SameAs) {
 TEST(Marshal, ValueRoundTripAllTypes) {
   TuplePtr t = SampleTuple();
   for (const Value& v : t->fields()) {
-    ByteWriter w;
+    ByteWriter w(MarshaledSize(v));
     MarshalValue(v, &w);
-    ByteReader r(w.buffer());
+    EXPECT_EQ(w.size(), MarshaledSize(v));
+    ByteReader r(w.data(), w.size());
     Value out;
     ASSERT_TRUE(UnmarshalValue(&r, &out));
     EXPECT_EQ(out, v);
@@ -98,9 +103,109 @@ TEST(Wire, BadMagicRejected) {
   EXPECT_FALSE(UnframeTuple(framed).has_value());
 }
 
-TEST(Wire, WireSizeIncludesHeaders) {
-  TuplePtr t = Tuple::Make("x", {Value::Int(1)});
-  EXPECT_EQ(WireSizeOf(*t), FrameTuple(*t).size() + kUdpIpHeaderBytes);
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 3) {
+    out.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// One tuple carrying every Value type, for the golden below.
+TuplePtr GoldenTuple() {
+  return Tuple::Make(
+      "golden",
+      {Value::Null(), Value::Bool(true), Value::Int(-2), Value::Double(1.5), Value::Str("s"),
+       Value::Id(Uint160(0x0A0B0C0D, 0x1112131415161718ull, 0x2122232425262728ull)),
+       Value::Addr("n1"), Value::List({Value::Int(7), Value::Addr("n2")})});
+}
+
+// The exact bytes on the wire. Everything after the 6-byte header is the
+// marshaled tuple (name, u16 count, tagged little-endian values); the
+// version byte and the checksum are the only bytes a checksum or format
+// change may move.
+TEST(Wire, GoldenTupleFrameBytes) {
+  const std::vector<uint8_t> golden = FromHex(
+      "d2 03 33 c3 d1 4e 06 00 00 00 67 6f 6c 64 65 6e 08 00 00 01 01 02 fe ff ff ff ff ff "
+      "ff ff 03 00 00 00 00 00 00 f8 3f 04 01 00 00 00 73 05 28 27 26 25 24 23 22 21 18 17 "
+      "16 15 14 13 12 11 0d 0c 0b 0a 06 02 00 00 00 6e 31 07 02 00 00 00 02 07 00 00 00 00 "
+      "00 00 00 06 02 00 00 00 6e 32 ");
+  TuplePtr t = GoldenTuple();
+  EXPECT_EQ(FrameTuple(*t), golden);
+  EXPECT_EQ(MarshaledSize(*t) + kFrameBodyOffset, golden.size());
+  std::optional<TuplePtr> back = UnframeTuple(golden);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE((*back)->SameAs(*t));
+}
+
+TEST(Wire, AnyDamagedByteSinksTheFrame) {
+  const std::vector<uint8_t> good = FrameTuple(*GoldenTuple());
+  for (size_t pos = 0; pos < good.size(); ++pos) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::vector<uint8_t> bad = good;
+      bad[pos] ^= static_cast<uint8_t>(mask);
+      EXPECT_FALSE(UnframeTuple(bad).has_value()) << "byte " << pos << " ^ " << mask;
+    }
+  }
+}
+
+TEST(Wire, ChecksumReadsWholeWordsAndTheTail) {
+  // Lengths straddling the 8-byte word size: every one must see a change
+  // in its last byte and in its length.
+  std::vector<uint8_t> bytes(40);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37);
+  }
+  for (size_t n = 1; n <= bytes.size(); ++n) {
+    uint32_t sum = WireChecksum(bytes.data(), n);
+    EXPECT_NE(sum, WireChecksum(bytes.data(), n - 1)) << n;
+    std::vector<uint8_t> last(bytes.begin(), bytes.begin() + static_cast<long>(n));
+    last.back() ^= 0x80;
+    EXPECT_NE(sum, WireChecksum(last.data(), n)) << n;
+  }
+}
+
+// Tuple names are program vocabulary: a frame naming a predicate this
+// process never interned is refused, and the atom table does not grow.
+TEST(Wire, UninternedTupleNameRejected) {
+  const std::string name = "never_interned_" + std::string(200, 'q');
+  ByteWriter w;
+  w.PutU8(kTupleMagic);
+  w.PutU8(kTupleVersion);
+  w.PutU32(0);
+  w.PutString(name);
+  w.PutU16(1);
+  MarshalValue(Value::Addr("n1"), &w);
+  std::vector<uint8_t> frame = w.Take();
+  SealFrame(&frame);
+  size_t before = SchemaCount();
+  EXPECT_FALSE(UnframeTuple(frame).has_value());
+  EXPECT_EQ(SchemaCount(), before);
+  EXPECT_EQ(FindSchema(name), kInvalidSchema);
+}
+
+TEST(AddrCache, ReusesRepsAndEvictsCorrectly) {
+  AddrCache cache;
+  Value a = cache.Get("n1");
+  Value b = cache.Get("n1");
+  EXPECT_EQ(a.AsAddr(), "n1");
+  EXPECT_EQ(&a.AsAddr(), &b.AsAddr());  // one shared rep
+  // Cached values are indistinguishable from freshly built ones.
+  Value fresh = Value::Addr("n1");
+  EXPECT_EQ(a, fresh);
+  EXPECT_EQ(a.HashValue(), fresh.HashValue());
+  EXPECT_EQ(Value::Compare(a, fresh), 0);
+  // Far more distinct addresses than slots: every lookup still answers
+  // with its own spelling, through evictions and refills.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      std::string addr = "10.0.0." + std::to_string(i) + ":9000";
+      Value v = cache.Get(addr);
+      ASSERT_EQ(v.type(), ValueType::kAddr);
+      EXPECT_EQ(v.AsAddr(), addr);
+      EXPECT_EQ(v, Value::Addr(addr));
+    }
+  }
 }
 
 TEST(Wire, LookupTrafficClassifier) {
@@ -119,13 +224,14 @@ TEST(ByteIo, PrimitivesRoundTrip) {
   w.PutU64(0x0123456789ABCDEFull);
   w.PutDouble(-2.5);
   w.PutString("hello");
-  ByteReader r(w.buffer());
+  EXPECT_EQ(w.size(), 1u + 2 + 4 + 8 + 8 + 4 + 5);
+  ByteReader r(w.data(), w.size());
   uint8_t u8;
   uint16_t u16;
   uint32_t u32;
   uint64_t u64;
   double d;
-  std::string s;
+  std::string_view s;
   ASSERT_TRUE(r.GetU8(&u8));
   ASSERT_TRUE(r.GetU16(&u16));
   ASSERT_TRUE(r.GetU32(&u32));
@@ -163,7 +269,7 @@ TEST(Marshal, HugeClaimedLengthsRejectedBeforeAllocation) {
   // A string claiming 4 GB of payload with 2 bytes behind it.
   std::vector<uint8_t> bytes = {0xFF, 0xFF, 0xFF, 0xFF, 0x41, 0x42};
   ByteReader r(bytes);
-  std::string s;
+  std::string_view s;
   EXPECT_FALSE(r.GetString(&s));
 
   // A list claiming 2^19 elements backed by nothing.
@@ -176,7 +282,7 @@ TEST(Marshal, HugeClaimedLengthsRejectedBeforeAllocation) {
   ByteWriter w;
   w.PutString("t");
   w.PutU16(60000);
-  ByteReader tr(w.buffer());
+  ByteReader tr(w.data(), w.size());
   EXPECT_FALSE(UnmarshalTuple(&tr).has_value());
 }
 
@@ -188,7 +294,7 @@ TEST(Marshal, NestingDepthBounded) {
   }
   ByteWriter w;
   MarshalValue(v, &w);
-  ByteReader r(w.buffer());
+  ByteReader r(w.data(), w.size());
   Value out;
   ASSERT_TRUE(UnmarshalValue(&r, &out));
   EXPECT_EQ(out, v);
