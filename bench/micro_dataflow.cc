@@ -3,7 +3,8 @@
 // instructions on an ia32 processor, or 75 if the callback is invoked").
 //
 // Measured here: element push/pull handoff, PEL dispatch, stream×table
-// equijoin probes through a rule strand, table insertion, tuple
+// equijoin probes through a rule strand, a min strand's distinct probe
+// and fold, table insertion, tuple
 // marshaling, the datagram path (framing, checksum, delivery lane), and
 // end-to-end rule firing through a compiled OverLog rule.
 #include <benchmark/benchmark.h>
@@ -176,6 +177,57 @@ void BM_RuleJoinProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RuleJoinProbe)->Arg(16)->Arg(160);
+
+// Chord's L2 shape: ev(NI, K) joins the node's 160-row finger table into
+// min<D>, D := K - B - 1, where the fingers hold only 6 distinct (B, BI).
+// Arg 0 visits every row; arg 1 probes each distinct B once, as the
+// planner does for a min/max strand whose later ops read only B.
+void BM_MinStrandRepeatedProjections(benchmark::State& state) {
+  SimEventLoop loop;
+  Rng rng(1);
+  std::string addr = "n0";
+  Graph g;
+  TableSpec spec;
+  spec.name = "finger";
+  spec.key_positions = {1};
+  Table table(spec, &loop);
+  for (int i = 0; i < 160; ++i) {
+    std::string peer = std::to_string(i % 6);
+    table.Insert(Tuple::Make("finger", {Value::Addr("n0"), Value::Int(i),
+                                        Value::Id(Uint160::HashOf(peer)),
+                                        Value::Addr("n" + peer)}));
+  }
+  PelProgram key;
+  key.Emit(PelOp::kPushField, 0);
+  std::vector<JoinKey> keys;
+  keys.push_back(JoinKey{0, std::move(key)});
+  auto* rule = g.Add<RuleDriver>("rule:min", PelEnv{&loop, &rng, &addr});
+  rule->set_event_arity(2);
+  size_t join = rule->AddJoin(&table, std::move(keys));
+  PelProgram d;  // D := K - B - 1 (slot 6)
+  d.Emit(PelOp::kPushField, 1);
+  d.Emit(PelOp::kPushField, 4);
+  d.Emit(PelOp::kSub);
+  d.Emit(PelOp::kPushConst, d.AddConst(Value::Int(1)));
+  d.Emit(PelOp::kSub);
+  rule->AddAssign(std::move(d));
+  std::vector<PelProgram> head(3);
+  head[0].Emit(PelOp::kPushField, 0);
+  head[1].Emit(PelOp::kPushField, 1);
+  head[2].Emit(PelOp::kPushField, 6);
+  rule->SetHead("best", std::move(head));
+  rule->SetAggregate(AggKind::kMin, 2, {});
+  if (state.range(0) == 1) {
+    rule->SetDistinct(join, {2});
+  }
+  auto* sink = g.Add<DiscardElement>("sink");
+  g.Connect(rule, 0, sink, 0);
+  TuplePtr ev = Tuple::Make("ev", {Value::Addr("n0"), Value::Id(Uint160::HashOf("key"))});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rule->Push(0, ev, nullptr));
+  }
+}
+BENCHMARK(BM_MinStrandRepeatedProjections)->Arg(0)->Arg(1);
 
 void BM_TableIndexedLookup(benchmark::State& state) {
   SimEventLoop loop;

@@ -86,7 +86,8 @@ void BaselineChordNode::ArmTimers() {
 }
 
 void BaselineChordNode::Send(const std::string& to, const TuplePtr& t) {
-  std::vector<uint8_t> frame = FrameTuple(*t);
+  const std::string& name = t->name();
+  std::vector<uint8_t> frame = FrameTuple(*t, name);
   if (frame.empty()) {
     return;  // oversize tuple, cannot be framed
   }
@@ -96,7 +97,7 @@ void BaselineChordNode::Send(const std::string& to, const TuplePtr& t) {
     OnPacket(addr_, frame);
     return;
   }
-  transport_->SendTo(to, std::move(frame), TrafficClassOf(t->name()));
+  transport_->SendTo(to, std::move(frame), TrafficClassOf(name));
 }
 
 void BaselineChordNode::OnPacket(const std::string& from, const std::vector<uint8_t>& bytes) {

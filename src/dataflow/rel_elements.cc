@@ -95,90 +95,36 @@ int CountedRetractElement::Push(int port, const TuplePtr& t, const Callback& cb)
   return 1;
 }
 
-// --- AggWrapElement ---
-
-AggWrapElement::AggWrapElement(std::string name, PelEnv env, AggKind kind, size_t agg_position,
-                               std::string out_name, bool emit_empty,
-                               std::vector<PelProgram> empty_field_programs)
-    : Element(std::move(name)),
-      vm_(env),
-      kind_(kind),
-      agg_position_(agg_position),
-      out_schema_(InternSchema(out_name)),
-      emit_empty_(emit_empty),
-      empty_field_programs_(std::move(empty_field_programs)) {
-  for (const PelProgram& p : empty_field_programs_) {
-    p.Lower();
-  }
-}
-
-void AggWrapElement::Begin(const TuplePtr& event) {
-  current_event_ = event;
-  best_ = nullptr;
-  acc_ = Value::Null();
-  count_ = 0;
-}
-
-int AggWrapElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  (void)cb;
-  P2_CHECK(agg_position_ < t->size());
-  const Value& input = t->field(agg_position_);
-  if (best_ == nullptr) {
-    best_ = t;
-    acc_ = AggInit(kind_, input);
-    count_ = 1;
-    return 1;
-  }
-  switch (kind_) {
-    case AggKind::kMin:
-      if (Value::Compare(input, best_->field(agg_position_)) < 0) {
-        best_ = t;
-      }
-      break;
-    case AggKind::kMax:
-      if (Value::Compare(input, best_->field(agg_position_)) > 0) {
-        best_ = t;
-      }
-      break;
-    case AggKind::kCount:
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      acc_ = AggStep(kind_, acc_, input, count_);
-      break;
-  }
-  ++count_;
-  return 1;
-}
-
-void AggWrapElement::Flush() {
-  if (best_ == nullptr) {
-    if (emit_empty_ && !empty_field_programs_.empty() && current_event_ != nullptr) {
-      std::vector<Value> fields;
-      fields.reserve(empty_field_programs_.size() + 1);
-      for (size_t i = 0; i < empty_field_programs_.size() + 1; ++i) {
-        if (i == agg_position_) {
-          fields.push_back(Value::Int(0));
-        } else {
-          size_t pi = i < agg_position_ ? i : i - 1;
-          fields.push_back(vm_.Eval(empty_field_programs_[pi], current_event_.get()));
-        }
-      }
-      PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
-    }
-    current_event_ = nullptr;
-    return;
-  }
-  std::vector<Value> fields = best_->fields();
-  if (kind_ == AggKind::kCount || kind_ == AggKind::kSum || kind_ == AggKind::kAvg) {
-    fields[agg_position_] = AggFinal(kind_, acc_, count_);
-  }
-  PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
-  best_ = nullptr;
-  current_event_ = nullptr;
-}
-
 // --- RuleDriver ---
+
+namespace {
+
+// True if evaluating `p` twice can give different results: it draws from
+// the RNG or reads the clock.
+bool IsVolatile(const PelProgram& p) {
+  for (const PelInstr& in : p.code()) {
+    if (in.op == PelOp::kRand || in.op == PelOp::kRandInt || in.op == PelOp::kCoinFlip ||
+        in.op == PelOp::kNow) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Marks the frame slots `p` reads; notes whether it is volatile.
+void NoteReads(const PelProgram& p, RuleDriver::Reads* reads) {
+  for (const PelInstr& in : p.code()) {
+    if (in.op == PelOp::kPushField) {
+      if (reads->slots.size() <= in.arg) {
+        reads->slots.resize(in.arg + 1);
+      }
+      reads->slots[in.arg] = true;
+    }
+  }
+  reads->is_volatile = reads->is_volatile || IsVolatile(p);
+}
+
+}  // namespace
 
 void RuleDriver::AddFilter(PelProgram pred) {
   pred.Lower();  // compile to register form once, at plan time
@@ -194,8 +140,9 @@ void RuleDriver::AddAssign(PelProgram value) {
   op.expr = std::move(value);
 }
 
-void RuleDriver::AddJoin(Table* table, std::vector<JoinKey> keys) {
+size_t RuleDriver::AddJoin(Table* table, std::vector<JoinKey> keys) {
   AddProbe(Op::Kind::kJoin, table, std::move(keys));
+  return ops_.size() - 1;
 }
 
 void RuleDriver::AddAntiJoin(Table* table, std::vector<JoinKey> keys) {
@@ -224,9 +171,43 @@ void RuleDriver::SetHead(const std::string& name, std::vector<PelProgram> fields
   head_ = std::move(fields);
 }
 
+void RuleDriver::SetAggregate(AggKind kind, size_t position,
+                              std::vector<PelProgram> empty_fields) {
+  P2_CHECK(position < head_.size());
+  for (const PelProgram& p : empty_fields) {
+    p.Lower();
+  }
+  bool head_volatile = false;
+  for (const PelProgram& p : head_) {
+    head_volatile = head_volatile || IsVolatile(p);
+  }
+  agg_ = std::make_unique<Aggregate>(
+      Aggregate{kind, position, std::move(empty_fields), head_volatile, {}});
+}
+
+RuleDriver::Reads RuleDriver::ReadsAfter(size_t op) const {
+  Reads reads;
+  for (size_t i = op + 1; i < ops_.size(); ++i) {
+    NoteReads(ops_[i].expr, &reads);
+    for (const PelProgram& k : ops_[i].key_exprs) {
+      NoteReads(k, &reads);
+    }
+  }
+  for (const PelProgram& p : head_) {
+    NoteReads(p, &reads);
+  }
+  return reads;
+}
+
+void RuleDriver::SetDistinct(size_t op, std::vector<size_t> cols) {
+  P2_CHECK(agg_ != nullptr && op < ops_.size() && ops_[op].kind == Op::Kind::kJoin);
+  ops_[op].distinct = static_cast<int>(agg_->distinct_cols.size());
+  agg_->distinct_cols.push_back(std::move(cols));
+}
+
 int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
   (void)port;
-  if (t->size() < min_arity_) {
+  if (event_arity_ != 0 && t->size() != event_arity_) {
     ++malformed_;
     if (obs_malformed_ != nullptr) {
       obs_malformed_->Inc();
@@ -252,14 +233,14 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
     f.slots.resize(t->size());
   }
   std::copy(t->fields().begin(), t->fields().end(), f.slots.begin());
-  int signal;
+  if (agg_ != nullptr && f.fold == nullptr) {
+    f.fold = std::make_unique<Fold>();
+  }
+  int signal = Run(0, f, t->size(), cb);
   if (agg_ != nullptr) {
-    agg_->Begin(t);
-    Run(0, f, t->size(), cb);
-    agg_->Flush();
-    signal = 1;
-  } else {
-    signal = Run(0, f, t->size(), cb);
+    if (TuplePtr result = TakeFolded(f, t->size())) {
+      signal = PushOut(0, result, cb);
+    }
   }
   --depth_;
   if (timed) {
@@ -272,12 +253,16 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
 }
 
 std::vector<TuplePtr> RuleDriver::Probe(const Op& op, Frame& f, size_t width) {
-  if (op.key_cols.empty()) {
-    return op.table->Scan();
-  }
   f.keys.clear();
   for (const PelProgram& k : op.key_exprs) {
     f.keys.push_back(vm_.Eval(k, f.slots.data(), width));
+  }
+  if (op.distinct >= 0) {
+    return op.table->LookupDistinct(op.key_cols, f.keys,
+                                    agg_->distinct_cols[static_cast<size_t>(op.distinct)]);
+  }
+  if (op.key_cols.empty()) {
+    return op.table->Scan();
   }
   return op.table->LookupByCols(op.key_cols, f.keys);
 }
@@ -318,12 +303,79 @@ int RuleDriver::Run(size_t i, Frame& f, size_t width, const Callback& cb) {
       }
     }
   }
+  if (agg_ != nullptr) {
+    FoldBinding(f, width);
+    return 1;
+  }
+  return PushOut(0, Tuple::Make(head_schema_, HeadFields(f, width)), cb);
+}
+
+std::vector<Value> RuleDriver::HeadFields(const Frame& f, size_t width) {
   std::vector<Value> fields;
   fields.reserve(head_.size());
   for (const PelProgram& p : head_) {
     fields.push_back(vm_.Eval(p, f.slots.data(), width));
   }
-  return PushOut(0, Tuple::Make(head_schema_, std::move(fields)), cb);
+  return fields;
+}
+
+void RuleDriver::FoldBinding(Frame& f, size_t width) {
+  const Aggregate& agg = *agg_;
+  Fold& fold = *f.fold;
+  // A pure head is built only when kept; its aggregate field alone decides.
+  std::vector<Value> fields;
+  if (agg.head_volatile) {
+    fields = HeadFields(f, width);
+  }
+  Value v = agg.head_volatile ? fields[agg.position]
+                              : vm_.Eval(head_[agg.position], f.slots.data(), width);
+  bool keep = fold.count == 0;
+  switch (agg.kind) {
+    case AggKind::kMin:
+      keep = keep || Value::Compare(v, fold.best[agg.position]) < 0;
+      break;
+    case AggKind::kMax:
+      keep = keep || Value::Compare(v, fold.best[agg.position]) > 0;
+      break;
+    case AggKind::kCount:
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      fold.acc =
+          fold.count == 0 ? AggInit(agg.kind, v) : AggStep(agg.kind, fold.acc, v, fold.count);
+      break;
+  }
+  ++fold.count;
+  if (keep) {
+    fold.best = agg.head_volatile ? std::move(fields) : HeadFields(f, width);
+  }
+}
+
+TuplePtr RuleDriver::TakeFolded(Frame& f, size_t event_width) {
+  const Aggregate& agg = *agg_;
+  Fold& fold = *f.fold;
+  if (fold.count == 0) {
+    if (agg.empty_fields.empty()) {
+      return nullptr;
+    }
+    // The frame's first `event_width` slots still hold the event.
+    std::vector<Value> fields;
+    fields.reserve(head_.size());
+    for (size_t i = 0; i < head_.size(); ++i) {
+      if (i == agg.position) {
+        fields.push_back(Value::Int(0));
+      } else {
+        size_t pi = i < agg.position ? i : i - 1;
+        fields.push_back(vm_.Eval(agg.empty_fields[pi], f.slots.data(), event_width));
+      }
+    }
+    return Tuple::Make(head_schema_, std::move(fields));
+  }
+  if (agg.kind == AggKind::kCount || agg.kind == AggKind::kSum || agg.kind == AggKind::kAvg) {
+    fold.best[agg.position] = AggFinal(agg.kind, fold.acc, fold.count);
+  }
+  fold.count = 0;
+  fold.acc = Value::Null();
+  return Tuple::Make(head_schema_, std::move(fold.best));
 }
 
 // --- TableAggWatcher ---

@@ -93,39 +93,6 @@ class CountedRetractElement : public Element {
 
 enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
 
-// Per-event aggregation ("AggWrap"). The rule driver brackets each event
-// with Begin/Flush; candidate pre-head tuples pushed in between are reduced
-// to a single output tuple. min/max have *selection* semantics: the output
-// carries the fields of the winning candidate (this is what makes OverLog
-// patterns like Narada's "pick the member with max<R>, R := f_rand()" and
-// Chord's "forward to the finger with min<D>" work). count/sum/avg
-// accumulate over all candidates, taking the non-aggregate fields from the
-// first one. With `emit_empty` set (used for count<*>), an event yielding
-// no candidates still emits one tuple with aggregate 0, its remaining
-// fields computed from the event itself.
-class AggWrapElement : public Element {
- public:
-  AggWrapElement(std::string name, PelEnv env, AggKind kind, size_t agg_position,
-                 std::string out_name, bool emit_empty,
-                 std::vector<PelProgram> empty_field_programs);
-
-  void Begin(const TuplePtr& event);
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-  void Flush();
-
- private:
-  PelVm vm_;
-  AggKind kind_;
-  size_t agg_position_;
-  SchemaId out_schema_;
-  bool emit_empty_;
-  std::vector<PelProgram> empty_field_programs_;
-  TuplePtr current_event_;
-  TuplePtr best_;     // representative candidate (winner for min/max, first otherwise)
-  Value acc_;         // accumulator for count/sum/avg
-  int64_t count_ = 0;
-};
-
 // A rule strand: the entry point and the whole body of one planned rule
 // variant. The planner appends the body ops in the order it chose — event
 // equality filters, stream × table equijoins and anti-joins (§2.5),
@@ -134,22 +101,35 @@ class AggWrapElement : public Element {
 // concatenated tuple an element-per-operator chain would pass along: the
 // event's fields, then each joined row's fields, then each assigned
 // value, so compiled PEL field indices address it directly. Only the head
-// tuple is built; it leaves on port 0 for the rule's tail (AggWrap, watch
-// tap, support count or retraction, delete, routing), with the caller's
+// tuple is built; it leaves on port 0 for the rule's tail (watch tap,
+// support count or retraction, delete, routing), with the caller's
 // callback, and Push returns the AND of those pushes' signals.
 //
-// The driver also brackets aggregate rules with Begin/Flush, counts rule
-// firings, and drops events narrower than the rule's event predicate (wire
-// data is untrusted — a well-framed tuple with a known name but the wrong
-// arity must not reach field-indexed ops).
+// An aggregate strand (§3.4's per-event "AggWrap") folds its bindings
+// itself and pushes one result when the fire ends. min/max have
+// *selection* semantics: the result is the head of the first binding with
+// the best aggregate value (this is what makes OverLog patterns like
+// Narada's "pick the member with max<R>, R := f_rand()" and Chord's
+// "forward to the finger with min<D>" work), and only the first binding
+// or a new best builds a head. count/sum/avg accumulate over every
+// binding and take the other fields from the first. A volatile head (one
+// that draws from the RNG or reads the clock) is built for every binding,
+// so draws stay as written. With
+// empty-group programs (count<*>), a fire with no binding still emits
+// one tuple with aggregate 0, its other fields computed from the event.
+//
+// The driver counts rule firings and drops events whose width is not the
+// rule's event arity (wire data is untrusted — a well-framed tuple with a
+// known name but the wrong arity would shift every field index after the
+// event).
 //
 // Re-entrancy: a local head is inserted into its table synchronously, and
 // that insert can fire this same strand again before the outer fire ends
 // (Chord's CM9 `succ :- succ, pingResp` inserts into the table it probes).
-// Each re-entrancy depth reuses its own frame, so once a depth has been
-// reached a fire allocates no frame, and a nested fire never clobbers
-// outer bindings; every probe iterates a LookupByCols snapshot, so nested
-// inserts do not change what an outer probe visits.
+// Each re-entrancy depth reuses its own frame, fold state included, so
+// once a depth has been reached a fire allocates no frame, and a nested
+// fire never clobbers outer bindings; every probe iterates a snapshot, so
+// nested inserts do not change what an outer probe visits.
 class RuleDriver : public Element {
  public:
   RuleDriver(std::string name, PelEnv env) : Element(std::move(name)), vm_(env) {}
@@ -159,19 +139,41 @@ class RuleDriver : public Element {
   // planner's cost estimates for later terms see it.
   void AddFilter(PelProgram pred);
   void AddAssign(PelProgram value);
-  void AddJoin(Table* table, std::vector<JoinKey> keys);
+  // Returns the join's op index (for SetDistinct).
+  size_t AddJoin(Table* table, std::vector<JoinKey> keys);
   // Passes the frame on iff `table` holds no row matching the keys
   // (OverLog "not"); binds nothing.
   void AddAntiJoin(Table* table, std::vector<JoinKey> keys);
   // The head tuple `name`, one program per field over the final frame.
   // Must be set before the first push.
   void SetHead(const std::string& name, std::vector<PelProgram> fields);
+  // Makes this an aggregate strand over head field `position`; call after
+  // SetHead. `empty_fields` (count<*> only; else empty) computes the other
+  // head fields, in order, from the event alone.
+  void SetAggregate(AggKind kind, size_t position, std::vector<PelProgram> empty_fields);
+
+  // What the ops after `op` and the head programs take from the frame:
+  // the slots their PEL programs read, and whether any of them is volatile
+  // (draws from the RNG or reads the clock). The planner derives each
+  // join's read set from it.
+  struct Reads {
+    std::vector<bool> slots;  // indexed by frame slot
+    bool is_volatile = false;
+  };
+  Reads ReadsAfter(size_t op) const;
+  // Join `op` visits only the first row, in bucket order, of each distinct
+  // projection of its matches onto table columns `cols`
+  // (Table::LookupDistinct). Sound only when nothing after the join reads
+  // another of its columns and the strand cannot tell a repeated binding
+  // from its first occurrence: a min/max fold with nothing volatile after
+  // the join. Call after SetAggregate.
+  void SetDistinct(size_t op, std::vector<size_t> cols);
 
   int Push(int port, const TuplePtr& t, const Callback& cb) override;
 
-  // The planner wires the aggregate bracket after the strand is built.
-  void set_agg(AggWrapElement* agg) { agg_ = agg; }
-  void set_min_arity(size_t n) { min_arity_ = n; }
+  // Events must have exactly `n` fields; 0 (hand-built strands) accepts
+  // any width.
+  void set_event_arity(size_t n) { event_arity_ = n; }
 
   // Per-rule metric handles (Graph::ObserveElement): fire count, sampled
   // fire-to-output latency, malformed-input drops. All nullable.
@@ -188,17 +190,36 @@ class RuleDriver : public Element {
   struct Op {
     enum class Kind { kFilter, kAssign, kJoin, kAntiJoin };
     Kind kind = Kind::kFilter;
+    // kJoin in an aggregate strand: the index of its column set in
+    // Aggregate::distinct_cols (a LookupDistinct probe), or -1.
+    int distinct = -1;
     PelProgram expr;               // kFilter: predicate; kAssign: value
     Table* table = nullptr;        // kJoin / kAntiJoin
     std::vector<size_t> key_cols;  // probed columns (empty: whole table)
     std::vector<PelProgram> key_exprs;  // one per probed column
   };
+  // An aggregate strand's settings; null for every other strand.
+  struct Aggregate {
+    AggKind kind;
+    size_t position;                       // the folded head field
+    std::vector<PelProgram> empty_fields;  // count<*>: see SetAggregate
+    bool head_volatile;
+    std::vector<std::vector<size_t>> distinct_cols;  // see Op::distinct
+  };
+  // One fire's fold: the kept head's fields, the count/sum/avg
+  // accumulator, and the bindings seen so far.
+  struct Fold {
+    std::vector<Value> best;
+    Value acc;
+    int64_t count = 0;
+  };
   // One re-entrancy depth's working state: the binding frame (only a
-  // prefix is live; slots past it hold stale values until overwritten)
-  // and the key values of the probe in flight.
+  // prefix is live; slots past it hold stale values until overwritten),
+  // the key values of the probe in flight, and an aggregate fire's fold.
   struct Frame {
     std::vector<Value> slots;
     std::vector<Value> keys;
+    std::unique_ptr<Fold> fold;  // aggregate strands only
   };
 
   void AddProbe(Op::Kind kind, Table* table, std::vector<JoinKey> keys);
@@ -206,19 +227,25 @@ class RuleDriver : public Element {
   // slots (a snapshot).
   std::vector<TuplePtr> Probe(const Op& op, Frame& f, size_t width);
   // Runs ops_[i..] over the frame's first `width` slots, pushing one head
-  // tuple per surviving binding. Returns the AND of the head signals.
+  // tuple per surviving binding (or folding it, in an aggregate strand).
+  // Returns the AND of the head signals.
   int Run(size_t i, Frame& f, size_t width, const Callback& cb);
+  std::vector<Value> HeadFields(const Frame& f, size_t width);
+  void FoldBinding(Frame& f, size_t width);
+  // The fire's aggregate result, or null (no binding, no empty emission).
+  // Resets the fold.
+  TuplePtr TakeFolded(Frame& f, size_t event_width);
 
   PelVm vm_;
   std::vector<Op> ops_;
   SchemaId head_schema_ = kInvalidSchema;
   std::vector<PelProgram> head_;
-  AggWrapElement* agg_ = nullptr;
+  std::unique_ptr<Aggregate> agg_;
   // Indexed by re-entrancy depth, allocated on first use at each depth;
   // boxed so growing the vector never moves a frame an outer fire is using.
   std::vector<std::unique_ptr<Frame>> frames_;
   size_t depth_ = 0;
-  size_t min_arity_ = 0;
+  size_t event_arity_ = 0;
   uint64_t fires_ = 0;
   uint64_t malformed_ = 0;
   obs::Counter* obs_fires_ = nullptr;

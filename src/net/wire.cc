@@ -57,12 +57,12 @@ bool FrameSealIntact(const std::vector<uint8_t>& frame) {
          WireChecksum(frame.data() + kFrameBodyOffset, frame.size() - kFrameBodyOffset);
 }
 
-std::vector<uint8_t> FrameTuple(const Tuple& t) {
-  ByteWriter w(kFrameBodyOffset + MarshaledSize(t));
+std::vector<uint8_t> FrameTuple(const Tuple& t, std::string_view name) {
+  ByteWriter w(kFrameBodyOffset + MarshaledSize(t, name));
   w.PutU8(kTupleMagic);
   w.PutU8(kTupleVersion);
   w.PutU32(0);  // checksum, sealed below
-  if (!MarshalTuple(t, &w)) {
+  if (!MarshalTuple(t, name, &w)) {
     return {};  // oversize tuple: callers drop the datagram
   }
   std::vector<uint8_t> bytes = w.Take();

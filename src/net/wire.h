@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/net/transport.h"
@@ -62,7 +63,9 @@ bool FrameSealIntact(const std::vector<uint8_t>& frame);
 //   u32 checksum WireChecksum of the marshaled tuple bytes
 //   [marshaled tuple]
 // Empty for a tuple MarshalTuple rejects (callers drop the datagram).
-std::vector<uint8_t> FrameTuple(const Tuple& t);
+// `name` is t.name(), for a caller that needs the name too.
+std::vector<uint8_t> FrameTuple(const Tuple& t, std::string_view name);
+inline std::vector<uint8_t> FrameTuple(const Tuple& t) { return FrameTuple(t, t.name()); }
 
 // Parses a framed datagram; nullopt on bad magic/version, truncation, a
 // checksum mismatch or a tuple name this process never interned (all

@@ -303,11 +303,24 @@ class PlanBuilder {
 
   // --- Rule planning ---
 
+  // A positive join of the strand being planned, kept for the distinct
+  // probe pass that runs once the head is known.
+  struct StrandJoin {
+    size_t op;                     // the driver's op index
+    Table* table;
+    std::vector<size_t> key_cols;  // probed columns
+    size_t base;                   // frame slot of the row's first column
+    size_t arity;
+    size_t explain_at;             // where its explain line takes " distinct [...]"
+  };
+
   // One rule variant under construction: its strand (the driver, which
-  // holds the body ops and head programs) and the last element of its tail.
+  // holds the body ops and head programs), its joins, and the last element
+  // of its tail.
   struct Chain {
     RuleDriver* driver = nullptr;
     Element* tail = nullptr;
+    std::vector<StrandJoin> joins = {};
     // Support-count element closing a counted chain (at most one of the
     // two is set); WireEvent hands it to the event listener, which sets
     // its per-push mode.
@@ -469,10 +482,12 @@ class PlanBuilder {
     }
     // The estimate is taken before the join declares its index, as the
     // cost ordering saw it.
-    explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols) +
-                " est=" + EstToString(table->EstimateFanout(key_cols)) + "\n";
-    chain->driver->AddJoin(table, std::move(keys));
+    std::string est = EstToString(table->EstimateFanout(key_cols));
+    explain_ += pad_ + "join " + pred.name + " on " + ColsToString(key_cols);
     size_t base = *width;
+    chain->joins.push_back(StrandJoin{chain->driver->AddJoin(table, std::move(keys)), table,
+                                      key_cols, base, pred.args.size(), explain_.size()});
+    explain_ += " est=" + est + "\n";
     for (const Pending& nb : new_binds) {
       (*env)[nb.var] = base + nb.col;
     }
@@ -655,8 +670,8 @@ class PlanBuilder {
       return false;
     }
     if (agg.present) {
-      // Per-event AggWrap rules: the bracket semantics are tied to a single
-      // triggering event, so only the first table predicate triggers.
+      // Per-event aggregate rules: the fold is tied to a single triggering
+      // event, so only the first table predicate triggers.
       return PlanRuleVariant(rule, agg, table_idxs[0], TriggerKind::kDeltaInsert, base_label,
                              /*counted=*/false, err);
     }
@@ -708,7 +723,7 @@ class PlanBuilder {
   }
 
   // Plans one delta/event variant of a rule: the strand (event binding,
-  // body ops, head projection), its tail (aggregation, watch tap, head
+  // body ops, head projection, aggregate fold), its tail (watch tap, head
   // routing or retraction) and its event wiring.
   bool PlanRuleVariant(const RuleAst& rule, const AggInfo& agg, int event_idx,
                        TriggerKind trig, const std::string& label, bool counted,
@@ -732,7 +747,7 @@ class PlanBuilder {
 
     // 1. Create the rule strand and bind the event.
     auto* driver = graph_.Add<RuleDriver>("rule:" + label, MakePelEnv());
-    driver->set_min_arity(event.args.size());
+    driver->set_event_arity(event.args.size());
     node_->rule_drivers_.emplace_back(label, driver);
     Chain chain{driver, driver};
     VarEnv env;
@@ -765,8 +780,8 @@ class PlanBuilder {
     return WireEvent(rule, event, trig, chain, err);
   }
 
-  // Steps 3 + 4 of rule planning: the strand's head projection, then the
-  // tail: aggregation bracket, watch tap, head routing / retraction.
+  // Steps 3 + 4 of rule planning: the strand's head projection and
+  // aggregate fold, then the tail: watch tap, head routing / retraction.
   bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst& event,
                        TriggerKind trig, const std::string& label, bool counted, Chain* chain,
                        const VarEnv& env, std::string* err) {
@@ -821,12 +836,10 @@ class PlanBuilder {
         }
       }
       explain_ += pad_ + "aggwrap " + AggKindName(agg.kind) + "\n";
-      auto* aggwrap = graph_.Add<AggWrapElement>(Gensym("aggwrap:" + rule.head.name),
-                                                 MakePelEnv(), agg.kind, agg.head_position,
-                                                 rule.head.name, emit_empty,
-                                                 std::move(empty_programs));
-      Append(chain, aggwrap);
-      chain->driver->set_agg(aggwrap);
+      chain->driver->SetAggregate(agg.kind, agg.head_position, std::move(empty_programs));
+      if (agg.kind == AggKind::kMin || agg.kind == AggKind::kMax) {
+        MarkDistinctProbes(*chain);
+      }
     }
 
     // 4. Head routing. A watched head gets its tap here — after the strand,
@@ -866,6 +879,37 @@ class PlanBuilder {
       explain_ += pad_ + "project " + rule.head.name + " -> route\n";
     }
     return true;
+  }
+
+  // A min/max strand keeps the first binding with the best value, and
+  // every head it builds stays inside the strand until the fire ends. Two
+  // rows of a join that agree on every column read after it drive
+  // identical pure evaluations, so the second can never beat the first:
+  // each such join probes only the first row of each distinct projection
+  // onto the columns read. That holds only while nothing after the join is
+  // volatile (each row must take its own RNG draw or clock reading), and
+  // it saves nothing when the read and probed columns cover the primary
+  // key.
+  void MarkDistinctProbes(const Chain& chain) {
+    for (auto j = chain.joins.rbegin(); j != chain.joins.rend(); ++j) {
+      RuleDriver::Reads reads = chain.driver->ReadsAfter(j->op);
+      if (reads.is_volatile) {
+        continue;
+      }
+      std::vector<size_t> read;
+      for (size_t c = 0; c < j->arity && j->base + c < reads.slots.size(); ++c) {
+        if (reads.slots[j->base + c]) {
+          read.push_back(c);
+        }
+      }
+      std::vector<size_t> bound = j->key_cols;
+      bound.insert(bound.end(), read.begin(), read.end());
+      if (j->table->PrimaryKeyCovered(bound)) {
+        continue;
+      }
+      explain_.insert(j->explain_at, " distinct " + ColsToString(read));
+      chain.driver->SetDistinct(j->op, std::move(read));
+    }
   }
 
   // Step 5 of rule planning: connects the rule driver to its event source.

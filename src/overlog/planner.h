@@ -5,8 +5,8 @@
 // a RuleDriver fed by an event source (periodic timer, stream demux port,
 // or a table's delta stream) that runs the remaining body terms as
 // ordered equijoin / anti-join / filter / assignment ops over one binding
-// frame and builds only the head tuple — followed by a tail of elements:
-// optional per-event aggregation (AggWrap), a watch tap, support counting
+// frame and builds only the head tuple, or folds a per-event aggregate
+// into one — followed by a tail of elements: a watch tap, support counting
 // or retraction, and finally either a table delete or the node's output
 // router, which sends remote tuples over the network and stores or loops
 // back local ones. The paper's graph has one element per operator; here
@@ -24,8 +24,12 @@
 // retractions propagate instead of waiting for soft-state expiry. Join
 // order within each chain is chosen greedily by estimated fanout
 // (Table::EstimateFanout) rather than rule-text order, and every probed
-// index is declared at plan time. Table aggregates are maintained
-// incrementally from the table's typed delta stream.
+// index is declared at plan time. In a min/max strand, a join with
+// nothing volatile after it (no RNG draw, no clock read) whose later
+// readers do not cover the table's primary key probes only the first row
+// of each distinct projection onto the columns they read (`--explain`:
+// `distinct [cols]`). Table aggregates are maintained incrementally from
+// the table's typed delta stream.
 #ifndef P2_OVERLOG_PLANNER_H_
 #define P2_OVERLOG_PLANNER_H_
 

@@ -252,17 +252,18 @@ void P2Node::RouteTuple(const TuplePtr& t) {
     }
     return;
   }
-  std::vector<uint8_t> frame = FrameTuple(*t);
+  const std::string& name = t->name();
+  std::vector<uint8_t> frame = FrameTuple(*t, name);
   if (frame.empty()) {
     P2_LOG(LogLevel::kWarn, "%s: dropping unmarshalable tuple %s", addr_.c_str(),
-           t->name().c_str());
+           name.c_str());
     return;
   }
   ++stats_.tuples_sent;
   if (obs_tuples_sent_ != nullptr) {
     obs_tuples_sent_->Inc();
   }
-  transport_->SendTo(dest, std::move(frame), TrafficClassOf(t->name()));
+  transport_->SendTo(dest, std::move(frame), TrafficClassOf(name));
 }
 
 void P2Node::OnPacket(const std::string& from, const std::vector<uint8_t>& bytes) {

@@ -3,7 +3,7 @@
 // PEL is a small byte-code language for manipulating Values and Tuples. It
 // is not written by humans: the OverLog planner compiles rule expressions
 // (selections, assignments, projections, range tests) into PEL programs,
-// which parameterize generic dataflow elements (filter, project, aggwrap).
+// which parameterize rule strands and the other dataflow elements.
 //
 // Programs are authored in a stack-based postfix form (Emit/AddConst —
 // convenient for the expression compiler and for tests), then lowered once

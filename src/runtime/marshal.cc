@@ -204,21 +204,21 @@ bool UnmarshalValue(ByteReader* r, Value* out, AddrCache* addrs) {
   return UnmarshalValueAtDepth(r, out, addrs, 0);
 }
 
-size_t MarshaledSize(const Tuple& t) {
-  size_t n = 4 + t.name().size() + 2;
+size_t MarshaledSize(const Tuple& t, std::string_view name) {
+  size_t n = 4 + name.size() + 2;
   for (const Value& v : t.fields()) {
     n += MarshaledSize(v);
   }
   return n;
 }
 
-bool MarshalTuple(const Tuple& t, ByteWriter* w) {
+bool MarshalTuple(const Tuple& t, std::string_view name, ByteWriter* w) {
   if (t.size() > 0xFFFF) {
     // The wire field count is a u16; a silent static_cast would corrupt the
     // stream (the receiver would stop short and misparse the rest).
     return false;
   }
-  w->PutString(t.name());
+  w->PutString(name);
   w->PutU16(static_cast<uint16_t>(t.size()));
   for (const Value& v : t.fields()) {
     MarshalValue(v, w);

@@ -154,9 +154,13 @@ bool UnmarshalValue(ByteReader* r, Value* out, AddrCache* addrs = nullptr);
 // Tuple codec: name + field count (u16) + fields. Returns false — writing
 // nothing — for tuples whose field count does not fit the u16 wire field
 // (> 65535): truncating the count would silently corrupt the stream.
-// MarshaledSize(t) is the exact byte count MarshalTuple writes.
-size_t MarshaledSize(const Tuple& t);
-bool MarshalTuple(const Tuple& t, ByteWriter* w);
+// MarshaledSize(t) is the exact byte count MarshalTuple writes. The forms
+// taking `name` (t.name()) let a caller that frames the tuple fetch the
+// name once.
+size_t MarshaledSize(const Tuple& t, std::string_view name);
+bool MarshalTuple(const Tuple& t, std::string_view name, ByteWriter* w);
+inline size_t MarshaledSize(const Tuple& t) { return MarshaledSize(t, t.name()); }
+inline bool MarshalTuple(const Tuple& t, ByteWriter* w) { return MarshalTuple(t, t.name(), w); }
 // Rejects a tuple whose name was never interned in this process (see
 // FindSchema): names are program vocabulary, fixed when a program is
 // installed, and a peer must not grow the process-wide atom table.

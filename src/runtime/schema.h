@@ -11,9 +11,11 @@
 // (0..SchemaCount()-1), never reused, and the returned name references are
 // stable for the process lifetime. Unlike per-node runtime state (which is
 // confined to one simulator shard), the atom table is shared by every
-// shard thread, so it is guarded by a shared_mutex: lookups take a shared
-// lock (the steady state — all names are interned at plan time), interning
-// a new spelling takes the exclusive lock.
+// shard thread. Because names only append, id -> name (SchemaName, on
+// every datagram a node sends) reads published pointers without a lock;
+// name -> id lookups take a shared lock (the steady state — all names are
+// interned at plan time), and interning a new spelling takes the
+// exclusive lock.
 #ifndef P2_RUNTIME_SCHEMA_H_
 #define P2_RUNTIME_SCHEMA_H_
 

@@ -2,11 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/obs/registry.h"
 #include "src/runtime/logging.h"
 
 namespace p2 {
+namespace {
+
+// Value identity: same type and same payload bits, lists element-wise.
+// Stricter than operator==, under which Int(1) == Double(1.0) and
+// 0.0 == -0.0, although each side drives different evaluations.
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) {
+    return false;
+  }
+  switch (a.type()) {
+    case ValueType::kDouble: {
+      double x = a.AsDouble();
+      double y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kList: {
+      const ValueList& x = a.AsList();
+      const ValueList& y = b.AsList();
+      if (x.size() != y.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (!Identical(x[i], y[i])) {
+          return false;
+        }
+      }
+      return true;
+    }
+    default:
+      return a == b;
+  }
+}
+
+}  // namespace
 
 Table::Table(TableSpec spec, Executor* executor) : spec_(std::move(spec)), executor_(executor) {
   P2_CHECK(executor_ != nullptr);
@@ -230,13 +265,18 @@ void Table::AddIndex(const std::vector<size_t>& cols) {
       scan_stats_.end());
 }
 
-size_t Table::DistinctKeys(const std::vector<size_t>& cols) const {
+const Table::SecondaryIndex* Table::FindIndex(const std::vector<size_t>& cols) const {
   for (const SecondaryIndex& idx : secondary_) {
     if (idx.cols == cols) {
-      return idx.distinct;
+      return &idx;
     }
   }
-  return 0;
+  return nullptr;
+}
+
+size_t Table::DistinctKeys(const std::vector<size_t>& cols) const {
+  const SecondaryIndex* idx = FindIndex(cols);
+  return idx == nullptr ? 0 : idx->distinct;
 }
 
 bool Table::PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const {
@@ -276,12 +316,7 @@ double Table::EstimateFanout(const std::vector<size_t>& bound_cols) const {
 }
 
 bool Table::HasIndex(const std::vector<size_t>& cols) const {
-  for (const SecondaryIndex& idx : secondary_) {
-    if (idx.cols == cols) {
-      return true;
-    }
-  }
-  return false;
+  return FindIndex(cols) != nullptr;
 }
 
 std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
@@ -325,6 +360,67 @@ std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
     }
     if (match) {
       out.push_back(row.tuple);
+    }
+  }
+  return out;
+}
+
+std::vector<TuplePtr> Table::LookupDistinct(const std::vector<size_t>& cols,
+                                            const std::vector<Value>& vals,
+                                            const std::vector<size_t>& distinct) {
+  PurgeExpired();
+  const std::vector<RowList::iterator>* bucket = nullptr;
+  size_t n = rows_.size();
+  if (!cols.empty()) {
+    const SecondaryIndex* idx = FindIndex(cols);
+    P2_CHECK(idx != nullptr);
+    auto found = idx->map.find(vals);
+    if (found == idx->map.end()) {
+      return {};
+    }
+    bucket = &found->second;
+    n = bucket->size();
+  }
+  // Open-addressed set of the kept projections, at most half full: each
+  // slot holds 1 + the kept row's position in `out`, or 0 when empty.
+  int bits = 3;
+  while ((size_t{1} << bits) < 2 * n) {
+    ++bits;
+  }
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<size_t> slots(mask + 1, 0);
+  std::vector<TuplePtr> out;
+  auto keep = [&](const TuplePtr& row) {
+    uint64_t h = 0;
+    for (size_t c : distinct) {
+      h = h * 1099511628211ull + row->field(c).HashValue();
+    }
+    for (size_t s = (h * 0x9E3779B97F4A7C15ull) >> (64 - bits);; s = (s + 1) & mask) {
+      if (slots[s] == 0) {
+        out.push_back(row);
+        slots[s] = out.size();
+        return;
+      }
+      const Tuple& kept = *out[slots[s] - 1];
+      bool same = true;
+      for (size_t c : distinct) {
+        if (!Identical(kept.field(c), row->field(c))) {
+          same = false;
+          break;
+        }
+      }
+      if (same) {
+        return;
+      }
+    }
+  };
+  if (bucket == nullptr) {
+    for (const Row& row : rows_) {
+      keep(row.tuple);
+    }
+  } else {
+    for (RowList::iterator row : *bucket) {
+      keep(row->tuple);
     }
   }
   return out;

@@ -117,6 +117,21 @@ class Table {
   std::vector<TuplePtr> LookupByCols(const std::vector<size_t>& cols,
                                      const std::vector<Value>& vals);
 
+  // The rows LookupByCols would return, in the same order, keeping only
+  // the first row of each distinct projection onto `distinct`: a probe
+  // for a reader that never looks past those columns. Projections compare
+  // by identity (same type and same bits), not numeric equality, so
+  // Int(1) and Double(1.0) stay apart. Scans the index bucket in place and
+  // copies only the rows it keeps; an empty `cols` scans the whole table,
+  // oldest first. A non-empty `cols` needs an index (AddIndex).
+  std::vector<TuplePtr> LookupDistinct(const std::vector<size_t>& cols,
+                                       const std::vector<Value>& vals,
+                                       const std::vector<size_t>& distinct);
+
+  // True iff an equality probe over `bound_cols` covers the primary key,
+  // so it matches at most one row.
+  bool PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const;
+
   // All live rows, oldest first.
   std::vector<TuplePtr> Scan();
 
@@ -186,9 +201,11 @@ class Table {
   using KeyMap =
       std::unordered_map<std::vector<Value>, RowList::iterator, ValueVecHash, ValueVecEq>;
 
+  struct SecondaryIndex;
+
   std::vector<Value> PrimaryKeyOf(const Tuple& t) const;
-  // True iff an equality probe over `bound_cols` covers the primary key.
-  bool PrimaryKeyCovered(const std::vector<size_t>& bound_cols) const;
+  // The index over exactly `cols`, or nullptr.
+  const SecondaryIndex* FindIndex(const std::vector<size_t>& cols) const;
   // Distinct keys currently held by the index over `cols`, or 0 when no
   // such index exists. Maintained incrementally per index (bucket
   // creation/destruction), so polling is O(#indices), not O(rows).

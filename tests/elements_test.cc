@@ -328,72 +328,101 @@ TEST_F(ElementsTest, StrandNestedJoinsBacktrackOverOneFrame) {
   EXPECT_EQ(got, (std::vector<std::string>{"h(10, \"x\")", "h(10, \"y\")", "h(20, \"z\")"}));
 }
 
-TEST_F(ElementsTest, AggWrapMinSelectsWinningTuple) {
-  auto* agg = graph_.Add<AggWrapElement>("agg", Env(), AggKind::kMin, 1, "out", false,
-                                         std::vector<PelProgram>{});
+// An aggregate strand folds its bindings and pushes one result per fire.
+// The table keys on the whole row, so every row is a binding.
+class StrandAggregateTest : public ElementsTest {
+ protected:
+  StrandAggregateTest() : table_(Spec(), &loop_) {}
+
+  static TableSpec Spec() {
+    TableSpec spec;
+    spec.name = "cand";
+    return spec;
+  }
+
+  // ev(G) joins cand(G, Name, V); the head is (Name, V) with the aggregate
+  // at position 1, or (G, V) with `group_head`.
+  RuleDriver* Strand(AggKind kind, bool group_head, std::vector<PelProgram> empty_fields,
+                     std::vector<TuplePtr>* out) {
+    auto* s = graph_.Add<RuleDriver>("rule:agg", Env());
+    s->set_event_arity(1);
+    s->AddJoin(&table_, KeyOn(0, 0));
+    std::vector<PelProgram> head(2);
+    head[0].Emit(PelOp::kPushField, group_head ? 0 : 2);
+    head[1].Emit(PelOp::kPushField, 3);
+    s->SetHead("out", std::move(head));
+    s->SetAggregate(kind, 1, std::move(empty_fields));
+    graph_.Connect(s, 0, Sink(out), 0);
+    return s;
+  }
+
+  void Add(const char* group, const char* name, int64_t v) {
+    table_.Insert(T("cand", {Value::Str(group), Value::Str(name), Value::Int(v)}));
+  }
+
+  Table table_;
+};
+
+TEST_F(StrandAggregateTest, MinSelectsTheWinningBinding) {
+  Add("g", "b", 5);
+  Add("g", "a", 3);
+  Add("g", "c", 9);
+  Add("g", "d", 3);  // ties the best: the first best stays
   std::vector<TuplePtr> out;
-  graph_.Connect(agg, 0, Sink(&out), 0);
-  agg->Begin(T("ev", {}));
-  agg->Push(0, T("pre", {Value::Str("b"), Value::Int(5)}), nullptr);
-  agg->Push(0, T("pre", {Value::Str("a"), Value::Int(3)}), nullptr);
-  agg->Push(0, T("pre", {Value::Str("c"), Value::Int(9)}), nullptr);
-  agg->Flush();
+  RuleDriver* s = Strand(AggKind::kMin, false, {}, &out);
+  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->name(), "out");
   // min selection carries the winner's other fields.
   EXPECT_EQ(out[0]->field(0).AsStr(), "a");
   EXPECT_EQ(out[0]->field(1).AsInt(), 3);
+  // No binding: min emits nothing.
+  s->Push(0, T("ev", {Value::Str("none")}), nullptr);
+  EXPECT_EQ(out.size(), 1u);
 }
 
-TEST_F(ElementsTest, AggWrapCountAndEmptyEmission) {
-  std::vector<PelProgram> empty_programs(1);
-  empty_programs[0].Emit(PelOp::kPushField, 0);  // group field from event
-  auto* agg = graph_.Add<AggWrapElement>("agg", Env(), AggKind::kCount, 1, "out", true,
-                                         std::move(empty_programs));
+TEST_F(StrandAggregateTest, CountAndEmptyEmission) {
+  Add("g", "x", 1);
+  Add("g", "y", 1);
+  std::vector<PelProgram> empty_fields(1);
+  empty_fields[0].Emit(PelOp::kPushField, 0);  // group field from event
   std::vector<TuplePtr> out;
-  graph_.Connect(agg, 0, Sink(&out), 0);
-  // Two candidates -> count 2.
-  agg->Begin(T("ev", {Value::Str("g")}));
-  agg->Push(0, T("pre", {Value::Str("g"), Value::Int(1)}), nullptr);
-  agg->Push(0, T("pre", {Value::Str("g"), Value::Int(1)}), nullptr);
-  agg->Flush();
-  // No candidates -> count 0 via the event-derived fields.
-  agg->Begin(T("ev", {Value::Str("h")}));
-  agg->Flush();
+  RuleDriver* s = Strand(AggKind::kCount, true, std::move(empty_fields), &out);
+  // Two bindings -> count 2.
+  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
+  // No binding -> count 0 via the event-derived fields.
+  s->Push(0, T("ev", {Value::Str("h")}), nullptr);
   ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0]->field(0).AsStr(), "g");
   EXPECT_EQ(out[0]->field(1).AsInt(), 2);
   EXPECT_EQ(out[1]->field(0).AsStr(), "h");
   EXPECT_EQ(out[1]->field(1).AsInt(), 0);
 }
 
-TEST_F(ElementsTest, AggWrapSumAccumulates) {
-  auto* agg = graph_.Add<AggWrapElement>("agg", Env(), AggKind::kSum, 0, "out", false,
-                                         std::vector<PelProgram>{});
-  std::vector<TuplePtr> out;
-  graph_.Connect(agg, 0, Sink(&out), 0);
-  agg->Begin(T("ev", {}));
+TEST_F(StrandAggregateTest, SumAccumulatesEveryBinding) {
   for (int i = 1; i <= 4; ++i) {
-    agg->Push(0, T("pre", {Value::Int(i)}), nullptr);
+    Add("g", "r", i);
   }
-  agg->Flush();
+  std::vector<TuplePtr> out;
+  RuleDriver* s = Strand(AggKind::kSum, true, {}, &out);
+  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0]->field(0).AsInt(), 10);
+  EXPECT_EQ(out[0]->field(1).AsInt(), 10);
 }
 
-TEST_F(ElementsTest, RuleDriverBracketsAggregate) {
-  auto* agg = graph_.Add<AggWrapElement>("agg", Env(), AggKind::kMax, 0, "out", false,
-                                         std::vector<PelProgram>{});
+TEST_F(ElementsTest, AggregateStrandEmitsOncePerFire) {
   auto* driver = graph_.Add<RuleDriver>("rule:x", Env());
-  driver->set_agg(agg);
   // An empty body whose head copies the event: the strand is identity.
   driver->SetHead("pre", Slots(1));
-  graph_.Connect(driver, 0, agg, 0);
+  driver->SetAggregate(AggKind::kMax, 0, {});
   std::vector<TuplePtr> out;
-  graph_.Connect(agg, 0, Sink(&out), 0);
+  graph_.Connect(driver, 0, Sink(&out), 0);
   driver->Push(0, T("pre", {Value::Int(5)}), nullptr);
-  EXPECT_EQ(driver->fires(), 1u);
-  ASSERT_EQ(out.size(), 1u);  // flushed at end of event
+  driver->Push(0, T("pre", {Value::Int(2)}), nullptr);
+  EXPECT_EQ(driver->fires(), 2u);
+  ASSERT_EQ(out.size(), 2u);  // one result at the end of each fire
   EXPECT_EQ(out[0]->field(0).AsInt(), 5);
+  EXPECT_EQ(out[1]->field(0).AsInt(), 2);
 }
 
 TEST_F(ElementsTest, InsertAndDeleteElements) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "src/net/wire.h"
+#include "src/obs/registry.h"
 #include "src/p2/node.h"
 #include "src/runtime/marshal.h"
 #include "src/sim/network.h"
@@ -226,6 +228,160 @@ TEST_F(PlannerNodeTest, VolatileAssignDrawsOncePerJoinedRowInRuleTextOrder) {
   EXPECT_EQ(n->rng()->NextDouble(), 0.39132860204190445);
 }
 
+// Aggregate strands over Chord's finger shape: 160 rows holding 6 distinct
+// (B, BI) pairs, B = 7 * (i % 6) + 3 and BI = p<i % 6>, keyed on I.
+class AggregateStrandTest : public PlannerNodeTest {
+ protected:
+  static constexpr int kRows = 160;
+
+  std::unique_ptr<P2Node> InstallOverFingers(const std::string& rules, uint64_t seed = 1) {
+    auto n = Install(t1_.get(), "materialize(finger, infinity, 160, keys(2)).\n" + rules, seed);
+    for (int i = 0; i < kRows; ++i) {
+      n->GetTable("finger")->Insert(Finger(i, 7 * (i % 6) + 3, i % 6));
+    }
+    n->Subscribe("best", [this](const TuplePtr& t) { outs_.push_back(t->ToString()); });
+    n->Start();
+    return n;
+  }
+
+  static TuplePtr Finger(int i, int64_t b, int bi) {
+    return Tuple::Make("finger", {Value::Addr("n1"), Value::Int(i), Value::Int(b),
+                                  Value::Addr("p" + std::to_string(bi))});
+  }
+
+  void Fire(P2Node* n, int64_t k) {
+    n->Inject(Tuple::Make("ev", {Value::Addr("n1"), Value::Int(k)}));
+    loop_.RunUntil(loop_.Now() + 1.0);
+  }
+
+  std::vector<std::string> outs_;
+};
+
+TEST_F(AggregateStrandTest, MinProbesEachDistinctProjectionOnce) {
+  auto n = InstallOverFingers(
+      "L3 best@X(X,BI,min<D>) :- ev@X(X,K), finger@X(X,I,B,BI), D := K - B - 1.\n");
+  EXPECT_NE(n->PlanExplain().find("join finger on [0] distinct [2,3] est="), std::string::npos)
+      << n->PlanExplain();
+  Fire(n.get(), 50);  // D = 46, 39, 32, 25, 18, 11: p5 wins
+  EXPECT_EQ(outs_, (std::vector<std::string>{"best(n1, p5, 11)"}));
+}
+
+TEST_F(AggregateStrandTest, TiesKeepTheFirstRowInBucketOrder) {
+  // D reads B alone, so the fingers of p1 and p0 (B = 10) tie for the
+  // max: the first of them in the finger bucket wins.
+  auto n = Install(t1_.get(),
+                   "materialize(finger, infinity, 160, keys(2)).\n"
+                   "T1 best@X(X,BI,max<D>) :- ev@X(X,K), finger@X(X,I,B,BI), D := B + K.\n",
+                   1);
+  n->Subscribe("best", [this](const TuplePtr& t) { outs_.push_back(t->ToString()); });
+  n->Start();
+  EXPECT_NE(n->PlanExplain().find("distinct [2,3]"), std::string::npos) << n->PlanExplain();
+  Table* fingers = n->GetTable("finger");
+  for (int i = 0; i < kRows; ++i) {
+    int bi = (i % 4 == 0) ? 1 : (i % 4 == 1) ? 0 : 2 + i % 2;  // p1, p0, p2, p3, ...
+    fingers->Insert(Finger(i, bi < 2 ? 10 : 3, bi));
+  }
+  Fire(n.get(), 1);
+  // A content change moves finger 0 to the back of its bucket, so finger 1
+  // (p0) now comes first among the tied rows.
+  fingers->Insert(Finger(0, 10, 4));
+  Fire(n.get(), 1);
+  fingers->Insert(Finger(1, 10, 5));  // and now finger 4 (p1) does
+  Fire(n.get(), 2);
+  EXPECT_EQ(outs_, (std::vector<std::string>{"best(n1, p1, 11)", "best(n1, p0, 11)",
+                                             "best(n1, p1, 12)"}));
+}
+
+TEST_F(AggregateStrandTest, RandomDrawsKeepEveryRowAndEveryDraw) {
+  // One draw per finger in bucket order, whether the body or the head
+  // draws; the winner (finger 5) carries its own draw.
+  std::vector<double> draws;
+  Rng rng(3);
+  for (int i = 0; i <= kRows; ++i) {
+    draws.push_back(rng.NextDouble());
+  }
+  for (const char* rule :
+       {"R1 best@X(X,R,min<D>) :- ev@X(X,K), finger@X(X,I,B,BI), R := f_rand(),"
+        " D := K - B - 1.\n",
+        "R2 best@X(X,f_rand(),min<D>) :- ev@X(X,K), finger@X(X,I,B,BI), D := K - B - 1.\n"}) {
+    outs_.clear();
+    auto n = InstallOverFingers(rule, 3);
+    EXPECT_EQ(n->PlanExplain().find("distinct"), std::string::npos) << n->PlanExplain();
+    Fire(n.get(), 50);
+    ASSERT_EQ(outs_.size(), 1u) << rule;
+    EXPECT_EQ(outs_[0], Tuple::Make("best", {Value::Addr("n1"), Value::Double(draws[5]),
+                                             Value::Int(11)})
+                            ->ToString())
+        << rule;
+    EXPECT_EQ(n->rng()->NextDouble(), draws[kRows]) << rule;
+  }
+}
+
+TEST_F(AggregateStrandTest, ClockReadsKeepEveryRow) {
+  // Under a wall clock each row would read its own time, so a repeated
+  // projection could win a max: a clock read after the join turns the
+  // distinct probe off, as an RNG draw does.
+  auto n = InstallOverFingers(
+      "T1 best@X(X,BI,max<T>) :- ev@X(X,K), finger@X(X,I,B,BI), T := f_now() + B.\n");
+  EXPECT_EQ(n->PlanExplain().find("distinct"), std::string::npos) << n->PlanExplain();
+  Fire(n.get(), 0);
+  ASSERT_EQ(outs_.size(), 1u);
+  EXPECT_EQ(outs_[0].rfind("best(n1, p5, ", 0), 0u) << outs_[0];
+}
+
+TEST_F(AggregateStrandTest, SecondJoinRunsUnderADistinctProbe) {
+  // peer(X, BI, W, Z): W per peer, Z never read. Here B and BI vary
+  // independently (36 distinct pairs), and the best pair is not the first
+  // with its B: the probe must keep every (B, BI) pair, since BI picks the
+  // peers W comes from.
+  auto n = Install(t1_.get(),
+                   "materialize(finger, infinity, 160, keys(2)).\n"
+                   "materialize(peer, infinity, 1000, keys(2,3,4)).\n"
+                   "J1 best@X(X,K,min<D>) :- ev@X(X,K), finger@X(X,I,B,BI), peer@X(X,BI,W,Z),"
+                   " D := K - B - W.\n",
+                   1);
+  n->Subscribe("best", [this](const TuplePtr& t) { outs_.push_back(t->ToString()); });
+  n->Start();
+  EXPECT_NE(n->PlanExplain().find("join finger on [0] distinct [2,3] est="), std::string::npos)
+      << n->PlanExplain();
+  EXPECT_NE(n->PlanExplain().find("join peer on [0,1] distinct [2] est="), std::string::npos)
+      << n->PlanExplain();
+  Table* fingers = n->GetTable("finger");
+  for (int i = 0; i < kRows; ++i) {
+    fingers->Insert(Finger(i, 7 * (i % 6) + 3, (i / 6) % 6));
+  }
+  Table* peers = n->GetTable("peer");
+  for (int p = 0; p < 6; ++p) {
+    for (int z = 0; z < 3; ++z) {
+      int64_t w = (p * 5 + z * 3) % 11 + 4 * p;
+      peers->Insert(Tuple::Make("peer", {Value::Addr("n1"), Value::Addr("p" + std::to_string(p)),
+                                         Value::Int(w), Value::Int(z)}));
+    }
+  }
+  int64_t best = std::numeric_limits<int64_t>::max();
+  for (const TuplePtr& f : fingers->Scan()) {
+    for (const TuplePtr& p : peers->LookupByCols({1}, {f->field(3)})) {
+      best = std::min(best, 100 - f->field(2).AsInt() - p->field(2).AsInt());
+    }
+  }
+  Fire(n.get(), 100);
+  EXPECT_EQ(outs_, (std::vector<std::string>{"best(n1, 100, " + std::to_string(best) + ")"}));
+}
+
+TEST_F(AggregateStrandTest, CountAndSumSeeEveryRow) {
+  auto n = InstallOverFingers(
+      "C1 best@X(X,K,count<*>) :- ev@X(X,K), finger@X(X,I,B,BI).\n"
+      "C2 best@X(X,K,sum<B>) :- ev@X(X,K), finger@X(X,I,B,BI).\n");
+  EXPECT_EQ(n->PlanExplain().find("distinct"), std::string::npos) << n->PlanExplain();
+  Fire(n.get(), 0);
+  int64_t sum = 0;
+  for (int i = 0; i < kRows; ++i) {
+    sum += 7 * (i % 6) + 3;
+  }
+  EXPECT_EQ(outs_, (std::vector<std::string>{"best(n1, 0, 160)",
+                                             "best(n1, 0, " + std::to_string(sum) + ")"}));
+}
+
 TEST_F(PlannerNodeTest, CountEmitsZeroForEmptyMatch) {
   const std::string program =
       "materialize(m, infinity, 100, keys(2)).\n"
@@ -401,25 +557,40 @@ TEST_F(PlannerNodeTest, WrongArityWireTuplesAreDropped) {
   const std::string program =
       "materialize(kv, infinity, 100, keys(2)).\n"
       "r1 out@X(X,V) :- ev@X(X,K), kv@X(X,K,V).\n";
-  auto n = Install(t1_.get(), program, 1);
-  n->Start();
+  obs::Registry metrics;
+  P2NodeConfig c;
+  c.executor = &loop_;
+  c.transport = t1_.get();
+  c.seed = 1;
+  c.metrics = &metrics;
+  P2Node n(c);
+  std::string err;
+  ASSERT_TRUE(n.Install(program, &err)) << err;
+  n.Start();
+  n.GetTable("kv")->Insert(
+      Tuple::Make("kv", {Value::Addr("n1"), Value::Int(1), Value::Str("one")}));
+  std::vector<std::string> outs;
+  n.Subscribe("out", [&](const TuplePtr& t) { outs.push_back(t->ToString()); });
   // A short "kv" tuple arriving off the wire must not plant a malformed
   // row (which would crash the join's field indexing later).
   t2_->SendTo("n1", FrameTuple(Tuple("kv", {Value::Addr("n1")})),
               TrafficClass::kMaintenance);
-  // A short "ev" event must be dropped by the rule driver.
+  // A short "ev" event must be dropped by the rule driver, and so must a
+  // wide one: its extra field would shift the joined row's slots, binding
+  // V to kv's K and deriving out(n1, 1).
   t2_->SendTo("n1", FrameTuple(Tuple("ev", {Value::Addr("n1")})),
               TrafficClass::kMaintenance);
+  t2_->SendTo("n1",
+              FrameTuple(Tuple("ev", {Value::Addr("n1"), Value::Int(1), Value::Str("extra")})),
+              TrafficClass::kMaintenance);
   loop_.RunUntil(1.0);
-  EXPECT_EQ(n->GetTable("kv")->size(), 0u);
+  EXPECT_EQ(n.GetTable("kv")->size(), 1u);
+  EXPECT_TRUE(outs.empty());
+  EXPECT_EQ(metrics.TakeSnapshot().counters.at("p2_rule_malformed_total{rule=\"r1\"}"), 2u);
   // The node still works.
-  n->GetTable("kv")->Insert(
-      Tuple::Make("kv", {Value::Addr("n1"), Value::Int(1), Value::Str("v")}));
-  int outs = 0;
-  n->Subscribe("out", [&](const TuplePtr&) { ++outs; });
-  n->Inject(Tuple::Make("ev", {Value::Addr("n1"), Value::Int(1)}));
+  n.Inject(Tuple::Make("ev", {Value::Addr("n1"), Value::Int(1)}));
   loop_.RunUntil(2.0);
-  EXPECT_EQ(outs, 1);
+  EXPECT_EQ(outs, (std::vector<std::string>{"out(n1, \"one\")"}));
 }
 
 // Received addresses come from the node's direct-mapped address cache.

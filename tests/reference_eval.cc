@@ -110,11 +110,12 @@ bool ReferenceEvaluator::CompileRule(const RuleAst& rule, const ProgramAst& prog
     }
     terms.push_back(&term);
   }
-  if (out.agg_field >= 0 && (!out.event.empty() || rule.body.size() != 1)) {
-    return reject("aggregate over anything but one table predicate");
+  if (out.agg_field >= 0 && out.event.empty() && rule.body.size() != 1) {
+    return reject("table aggregate over anything but one table predicate");
   }
 
   VarEnv env;
+  VarEnv event_env;  // the bindings right after the event predicate
   size_t width = 0;
   while (!terms.empty()) {
     size_t next = 0;
@@ -171,8 +172,21 @@ bool ReferenceEvaluator::CompileRule(const RuleAst& rule, const ProgramAst& prog
         env[var] = width + col;
       }
       width += arity;
+      if (p.name == out.event) {
+        event_env = env;
+      }
     }
     out.steps.push_back(std::move(step));
+  }
+  // A per-event aggregate folds every binding of one event into one row.
+  // Grouping by the other head fields reproduces that only when the event
+  // alone binds them.
+  if (out.agg_field >= 0 && !out.event.empty()) {
+    for (const ExprPtr& a : rule.head.args) {
+      if (a->kind != ExprKind::kAgg && !ExprBound(*a, event_env)) {
+        return reject("per-event aggregate head field the event does not bind");
+      }
+    }
   }
 
   for (const ExprPtr& a : rule.head.args) {

@@ -16,9 +16,11 @@
 // Supported fragment, checked by Load:
 //   - table rules: every body predicate is a positive materialized one;
 //     bodies may also hold assignments and filters;
-//   - min/max aggregate heads, only over a body of exactly one table
-//     predicate (the planner's table aggregate);
-//   - event rules: exactly one non-materialized predicate, no aggregate;
+//   - min/max aggregate heads, over a body of exactly one table predicate
+//     (the planner's table aggregate) or in an event rule whose other head
+//     fields the event alone binds (one row per event, as the planner's
+//     aggregate strand folds it);
+//   - event rules: exactly one non-materialized predicate;
 //   - deterministic expressions only (no f_rand, f_now, ...); no facts,
 //     negation, periodic or delete rules.
 // Derived relations are sets of rows, unbounded and never expiring. A

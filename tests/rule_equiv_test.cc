@@ -10,7 +10,8 @@
 // against that fixpoint. Two corpora:
 //
 //   - insert-only: multi-join stream rules, a single-predicate pure-table
-//     chain, and a min/max table aggregate;
+//     chain, a min/max table aggregate, and per-event min/max strands over
+//     bases whose rows repeat the columns the strand reads;
 //   - retracting: the same stream rules plus multi-join and
 //     projected-support pure-table rules (one head row standing for many
 //     derivations, including a projection through a counted intermediate
@@ -145,6 +146,24 @@ GenProgram Generate(std::mt19937* rng, bool retracting) {
     out << "materialize(agg0, infinity, 1000, keys(2)).\n"
         << "ag agg0@X(X, A, " << agg << "<B>) :- " << BaseTerm(p.bases[1], {"B"}) << ".\n";
     p.derived.push_back("agg0");
+
+    // Per-event min/max strands whose joins read only some columns, so
+    // rows that differ in the others repeat the projection read: q0 reads
+    // every data column but the first of a base probed on the location
+    // alone; q1 chains two bases through a filter and an assignment.
+    auto padded = [](const GenTable& t, const std::string& cols) {
+      return t.name + "@X(X, " + cols + (t.arity == 4 ? ", _)" : ")");
+    };
+    const GenTable& r0 = p.bases[static_cast<size_t>(pick(0, static_cast<int>(num_bases) - 1))];
+    const GenTable& r1 = p.bases[static_cast<size_t>(pick(0, static_cast<int>(num_bases) - 1))];
+    const char* agg_q0 = pick(0, 1) == 0 ? "min" : "max";
+    const char* agg_q1 = pick(0, 1) == 0 ? "min" : "max";
+    const bool wide = r0.arity == 4;
+    out << "q0 qout0@X(X, A, " << agg_q0 << "<D>) :- ev@X(X, A), " << r0.name << "@X(X, _, V"
+        << (wide ? ", W), D := V - 2 * W" : "), D := V") << " + A.\n"
+        << "q1 qout1@X(X, A, " << agg_q1 << "<D>) :- ev@X(X, A), " << padded(r0, "A, V")
+        << ", " << padded(r1, "V, W") << ", V != A, D := V + 2 * W.\n";
+    p.heads.insert(p.heads.end(), {"qout0", "qout1"});
     p.text = out.str();
     return p;
   }

@@ -120,6 +120,85 @@ TEST_F(TableTest, SecondaryIndexLookup) {
   EXPECT_TRUE(t.LookupByCols({1}, {Value::Str("a")}).empty());
 }
 
+// Row ids (column 1) in probe order.
+std::vector<int64_t> Ids(const std::vector<TuplePtr>& rows) {
+  std::vector<int64_t> ids;
+  for (const TuplePtr& r : rows) {
+    ids.push_back(r->field(1).AsInt());
+  }
+  return ids;
+}
+
+TEST_F(TableTest, LookupDistinctKeepsTheFirstRowOfEachProjection) {
+  // finger(node, id, b, bi) keyed on id: many fingers share (b, bi).
+  TableSpec s;
+  s.name = "finger";
+  s.key_positions = {1};
+  Table t(s, &loop_);
+  t.AddIndex({0});
+  auto finger = [](const char* node, int64_t id, Value b, const char* bi) {
+    return Tuple::Make("finger", {Value::Str(node), Value::Int(id), std::move(b), Value::Str(bi)});
+  };
+  t.Insert(finger("n", 0, Value::Int(5), "p"));
+  t.Insert(finger("n", 1, Value::Int(5), "p"));
+  t.Insert(finger("n", 2, Value::Int(7), "q"));
+  t.Insert(finger("m", 3, Value::Int(9), "r"));   // another bucket
+  t.Insert(finger("n", 4, Value::Int(5), "p"));
+  t.Insert(finger("n", 5, Value::Int(7), "s"));   // same b, other bi
+  t.Insert(finger("n", 6, Value::Double(5.0), "p"));  // == Int(5), not identical
+  t.Insert(finger("n", 7, Value::Double(0.0), "p"));
+  t.Insert(finger("n", 8, Value::Double(-0.0), "p"));  // == 0.0, other bits
+  const std::vector<Value> n{Value::Str("n")};
+  EXPECT_EQ(Ids(t.LookupByCols({0}, n)), (std::vector<int64_t>{0, 1, 2, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(Ids(t.LookupDistinct({0}, n, {2})), (std::vector<int64_t>{0, 2, 6, 7, 8}));
+  EXPECT_EQ(Ids(t.LookupDistinct({0}, n, {2, 3})), (std::vector<int64_t>{0, 2, 5, 6, 7, 8}));
+  EXPECT_EQ(Ids(t.LookupDistinct({0}, n, {})), (std::vector<int64_t>{0}));
+  EXPECT_TRUE(t.LookupDistinct({0}, {Value::Str("none")}, {2}).empty());
+  // No probed columns: the whole table, oldest first.
+  EXPECT_EQ(Ids(t.LookupDistinct({}, {}, {3})), (std::vector<int64_t>{0, 2, 3, 5}));
+  // A replacement that changes content moves its row to the back of the
+  // bucket, so the next row sharing its old projection comes first.
+  t.Insert(finger("n", 0, Value::Int(5), "z"));
+  EXPECT_EQ(Ids(t.LookupDistinct({0}, n, {2})), (std::vector<int64_t>{1, 2, 6, 7, 8}));
+  EXPECT_EQ(Ids(t.LookupDistinct({0}, n, {3})), (std::vector<int64_t>{1, 2, 5, 0}));
+}
+
+TEST_F(TableTest, LookupDistinctMatchesFirstOccurrencesOfLookupByCols) {
+  TableSpec s;
+  s.name = "r";
+  s.key_positions = {1};
+  s.max_size = 40;
+  Table t(s, &loop_);
+  t.AddIndex({0});
+  uint64_t x = 12345;
+  auto next = [&x](int64_t n) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int64_t>((x >> 33) % static_cast<uint64_t>(n));
+  };
+  for (int step = 0; step < 400; ++step) {
+    t.Insert(Tuple::Make("r", {Value::Int(next(2)), Value::Int(next(60)), Value::Int(next(4)),
+                               Value::Int(next(3))}));
+    if (step % 7 == 0) {
+      t.DeleteByKey({Value::Int(next(60))});
+    }
+    for (const std::vector<size_t>& cols :
+         {std::vector<size_t>{2}, std::vector<size_t>{3, 2}, std::vector<size_t>{}}) {
+      const std::vector<Value> key{Value::Int(next(2))};
+      std::vector<TuplePtr> want;
+      for (const TuplePtr& row : t.LookupByCols({0}, key)) {
+        bool seen = false;
+        for (const TuplePtr& kept : want) {
+          seen = seen || kept->KeyOf(cols) == row->KeyOf(cols);
+        }
+        if (!seen) {
+          want.push_back(row);
+        }
+      }
+      ASSERT_EQ(Ids(t.LookupDistinct({0}, key, cols)), Ids(want)) << "step " << step;
+    }
+  }
+}
+
 TEST_F(TableTest, LookupWithoutIndexScans) {
   Table t(Spec(std::numeric_limits<double>::infinity(), 100), &loop_);
   t.Insert(Row("t", 1, 7));

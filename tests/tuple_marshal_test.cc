@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <string_view>
 #include <vector>
 
 #include "src/net/transport.h"
 #include "src/net/wire.h"
 #include "src/runtime/marshal.h"
+#include "src/runtime/schema.h"
 #include "src/runtime/tuple.h"
 
 namespace p2 {
@@ -182,6 +185,50 @@ TEST(Wire, UninternedTupleNameRejected) {
   EXPECT_FALSE(UnframeTuple(frame).has_value());
   EXPECT_EQ(SchemaCount(), before);
   EXPECT_EQ(FindSchema(name), kInvalidSchema);
+}
+
+// SchemaName reads published names without the atom table's lock, so
+// readers run while other threads intern enough names to allocate several
+// new segments of the id -> name map.
+TEST(Schema, NamesReadLockFreeWhileOthersIntern) {
+  constexpr int kPerInterner = 400;
+  std::vector<std::vector<SchemaId>> interned(2);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([w, &interned] {
+      for (int i = 0; i < kPerInterner; ++i) {
+        interned[w].push_back(
+            InternSchema("schema_stress_" + std::to_string(w) + "_" + std::to_string(i)));
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&done, &bad] {
+      for (uint64_t i = 0; !done.load(); ++i) {
+        SchemaId id = static_cast<SchemaId>((i * 7919) % SchemaCount());
+        if (FindSchema(SchemaName(id)) != id) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads[0].join();
+  threads[1].join();
+  done.store(true);
+  threads[2].join();
+  threads[3].join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int w = 0; w < 2; ++w) {
+    for (int i = 0; i < kPerInterner; ++i) {
+      EXPECT_EQ(SchemaName(interned[w][static_cast<size_t>(i)]),
+                "schema_stress_" + std::to_string(w) + "_" + std::to_string(i));
+    }
+  }
+  for (SchemaId id = 0; id < SchemaCount(); ++id) {
+    ASSERT_EQ(FindSchema(SchemaName(id)), id);
+  }
 }
 
 TEST(AddrCache, ReusesRepsAndEvictsCorrectly) {
