@@ -2,7 +2,7 @@
 // quantifies in §3.3 ("most [transitions] take about 50 machine
 // instructions on an ia32 processor, or 75 if the callback is invoked").
 //
-// Measured here: element push/pull handoff, PEL dispatch, stream×table
+// Measured here: element push handoff, PEL dispatch, stream×table
 // equijoin probes through a rule strand, a min strand's distinct probe
 // and fold, table insertion, tuple
 // marshaling, the datagram path (framing, checksum, delivery lane), and
@@ -72,21 +72,11 @@ void BM_PushHandoff(benchmark::State& state) {
   g.Connect(dup, 0, sink, 0);
   TuplePtr t = BenchTuple();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dup->Push(0, t, nullptr));
+    dup->Push(0, t);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PushHandoff);
-
-void BM_PushPullThroughQueue(benchmark::State& state) {
-  Graph g;
-  auto* q = g.Add<QueueElement>("q", 16);
-  TuplePtr t = BenchTuple();
-  for (auto _ : state) {
-    q->Push(0, t, nullptr);
-    benchmark::DoNotOptimize(q->Pull(0, nullptr));
-  }
-}
-BENCHMARK(BM_PushPullThroughQueue);
 
 // --- PEL ---
 
@@ -142,7 +132,7 @@ BENCHMARK(BM_TableInsertReplace);
 
 // A stream × table equijoin fired through a one-join rule strand: every
 // row of the `rows`-row table matches, and each match builds the head
-// (here the whole binding frame, event then row) and pushes it on.
+// (here the whole binding frame, event then row) and routes it.
 void BM_RuleJoinProbe(benchmark::State& state) {
   SimEventLoop loop;
   Rng rng(1);
@@ -168,11 +158,12 @@ void BM_RuleJoinProbe(benchmark::State& state) {
     head[i].Emit(PelOp::kPushField, i);
   }
   rule->SetHead("j", std::move(head));
-  auto* sink = g.Add<DiscardElement>("sink");
-  g.Connect(rule, 0, sink, 0);
+  RuleDriver::Tail tail;
+  tail.route = [](const TuplePtr& t) { benchmark::DoNotOptimize(t); };
+  rule->SetTail(std::move(tail));
   TuplePtr ev = Tuple::Make("ev", {Value::Addr("n0")});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rule->Push(0, ev, nullptr));
+    rule->Push(0, ev);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -220,11 +211,12 @@ void BM_MinStrandRepeatedProjections(benchmark::State& state) {
   if (state.range(0) == 1) {
     rule->SetDistinct(join, {2});
   }
-  auto* sink = g.Add<DiscardElement>("sink");
-  g.Connect(rule, 0, sink, 0);
+  RuleDriver::Tail tail;
+  tail.route = [](const TuplePtr& t) { benchmark::DoNotOptimize(t); };
+  rule->SetTail(std::move(tail));
   TuplePtr ev = Tuple::Make("ev", {Value::Addr("n0"), Value::Id(Uint160::HashOf("key"))});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rule->Push(0, ev, nullptr));
+    rule->Push(0, ev);
   }
 }
 BENCHMARK(BM_MinStrandRepeatedProjections)->Arg(0)->Arg(1);
@@ -263,22 +255,21 @@ void BM_DemuxDispatch(benchmark::State& state) {
   }
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(demux->Push(0, tuples[i & 15], nullptr));
+    demux->Push(0, tuples[i & 15]);
+    benchmark::ClobberMemory();
     ++i;
   }
 }
 BENCHMARK(BM_DemuxDispatch);
 
-// Queue -> driver -> demux drain: the node input path the planner's
-// fan-out strands sit behind.
+// Input queue -> demux drain: the node input path the planner's fan-out
+// strands sit behind.
 void BM_QueueDemuxDrain(benchmark::State& state) {
   SimEventLoop loop;
   Graph g;
-  auto* q = g.Add<QueueElement>("q", 8192);
-  auto* driver = g.Add<TimedPullPush>("driver", &loop, 0.0);
+  auto* q = g.Add<InputQueue>("q", &loop, 8192);
   auto* demux = g.Add<DemuxByName>("demux");
-  g.Connect(q, 0, driver, 0);
-  g.Connect(driver, 0, demux, 0);
+  g.Connect(q, 0, demux, 0);
   std::vector<TuplePtr> tuples;
   for (int i = 0; i < 8; ++i) {
     std::string name = "relation" + std::to_string(i);
@@ -286,11 +277,11 @@ void BM_QueueDemuxDrain(benchmark::State& state) {
     g.Connect(demux, demux->PortFor(name), sink, 0);
     tuples.push_back(Tuple::Make(name, {Value::Addr("n0"), Value::Int(i)}));
   }
-  driver->Start();
+  q->Start();
   constexpr int kBurst = 512;
   for (auto _ : state) {
     for (int i = 0; i < kBurst; ++i) {
-      q->Push(0, tuples[i & 7], nullptr);
+      q->Push(0, tuples[i & 7]);
     }
     loop.RunUntil(loop.Now() + 0.001);
   }

@@ -5,12 +5,16 @@
 
 namespace p2 {
 
-// --- QueueElement ---
+// --- InputQueue ---
 
-int QueueElement::Push(int port, const TuplePtr& t, const Callback& cb) {
+InputQueue::~InputQueue() {
+  if (timer_ != kInvalidTimer) {
+    executor_->Cancel(timer_);
+  }
+}
+
+void InputQueue::Push(int port, const TuplePtr& t) {
   P2_CHECK(port == 0);
-  // The tuple is always accepted (a rejected push would force upstream
-  // state rollback, §3.3); the return value only signals congestion.
   if (q_.size() >= capacity_) {
     ++dropped_;
     if (obs_dropped_ != nullptr) {
@@ -19,90 +23,40 @@ int QueueElement::Push(int port, const TuplePtr& t, const Callback& cb) {
     q_.pop_front();  // Shed oldest under overload; overlays are soft state.
   }
   q_.push_back(t);
-  if (blocked_puller_) {
-    Callback cb2 = std::move(blocked_puller_);
-    blocked_puller_ = nullptr;
-    cb2();
+  if (parked_) {
+    parked_ = false;
+    Arm();
   }
-  if (q_.size() >= capacity_) {
-    blocked_pusher_ = cb;
-    return 0;
-  }
-  return 1;
 }
 
-TuplePtr QueueElement::Pull(int port, const Callback& cb) {
-  P2_CHECK(port == 0);
-  if (q_.empty()) {
-    blocked_puller_ = cb;
-    return nullptr;
-  }
-  TuplePtr t = q_.front();
-  q_.pop_front();
-  if (blocked_pusher_) {
-    Callback cb2 = std::move(blocked_pusher_);
-    blocked_pusher_ = nullptr;
-    cb2();
-  }
-  return t;
-}
+void InputQueue::Start() { Arm(); }
 
-// --- TimedPullPush ---
-
-TimedPullPush::~TimedPullPush() {
+void InputQueue::Arm() {
   if (timer_ != kInvalidTimer) {
-    executor_->Cancel(timer_);
-  }
-}
-
-void TimedPullPush::Start() { Arm(period_); }
-
-void TimedPullPush::Arm(double delay) {
-  if (armed_) {
     return;
   }
-  armed_ = true;
-  timer_ = executor_->ScheduleAfter(delay, [this]() {
-    armed_ = false;
+  timer_ = executor_->ScheduleAfter(0.0, [this]() {
     timer_ = kInvalidTimer;
-    RunOnce();
+    Drain();
   });
 }
 
-void TimedPullPush::RunOnce() {
-  if (period_ > 0) {
-    // Fixed-rate mode: move at most one tuple per period.
-    TuplePtr t = PullIn(0, [this]() { Arm(period_); });
-    if (t != nullptr) {
-      PushOut(0, t);
-      Arm(period_);
-    }
-    return;
-  }
-  // Continuous mode: drain a bounded batch, then yield to the loop so one
-  // busy flow cannot starve timers. The batch goes downstream through one
-  // PushMany so the demultiplexer can partition it per strand instead of
-  // re-dispatching tuple by tuple.
-  constexpr int kBatch = 64;
+void InputQueue::Drain() {
   batch_.clear();
-  bool blocked = false;
-  for (int i = 0; i < kBatch; ++i) {
-    TuplePtr t = PullIn(0, [this]() { Arm(0); });
-    if (t == nullptr) {
-      blocked = true;  // Pull callback re-arms us once data returns.
-      break;
-    }
-    batch_.push_back(std::move(t));
+  while (batch_.size() < kBatch && !q_.empty()) {
+    batch_.push_back(std::move(q_.front()));
+    q_.pop_front();
   }
+  // Park before pushing: a tuple looped back while the batch runs then
+  // schedules the next drain.
+  const bool full = batch_.size() == kBatch;
+  parked_ = !full;
   if (!batch_.empty()) {
-    int ok = PushOutMany(0, batch_, [this]() { Arm(0); });
+    PushOutMany(0, batch_);
     batch_.clear();
-    if (ok == 0) {
-      return;  // Downstream congested; push callback re-arms us.
-    }
   }
-  if (!blocked) {
-    Arm(0);
+  if (full) {
+    Arm();
   }
 }
 
@@ -121,28 +75,28 @@ int DemuxByName::PortFor(const std::string& tuple_name) {
   return port;
 }
 
-int DemuxByName::Push(int port, const TuplePtr& t, const Callback& cb) {
+void DemuxByName::Push(int port, const TuplePtr& t) {
   P2_CHECK(port == 0);
   int out = RouteFor(t->schema());
   if (out >= 0) {
-    return PushOut(out, t, cb);
+    PushOut(out, t);
+    return;
   }
   if (default_port_ >= 0) {
-    return PushOut(default_port_, t, cb);
+    PushOut(default_port_, t);
+    return;
   }
   ++unroutable_;
   if (obs_unroutable_ != nullptr) {
     obs_unroutable_->Inc();
   }
-  return 1;
 }
 
-int DemuxByName::PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) {
+void DemuxByName::PushMany(int port, const std::vector<TuplePtr>& ts) {
   P2_CHECK(port == 0);
   if (batch_buckets_.size() < static_cast<size_t>(next_port_)) {
     batch_buckets_.resize(next_port_);
   }
-  int signal = 1;
   for (const TuplePtr& t : ts) {
     int out = RouteFor(t->schema());
     if (out < 0) {
@@ -165,48 +119,36 @@ int DemuxByName::PushMany(int port, const std::vector<TuplePtr>& ts, const Callb
     if (bucket.empty()) {
       continue;
     }
-    switch (bucket.size()) {
-      case 1:
-        signal &= PushOut(static_cast<int>(p), bucket[0], cb);
-        break;
-      default:
-        signal &= PushOutMany(static_cast<int>(p), bucket, cb);
-        break;
+    if (bucket.size() == 1) {
+      PushOut(static_cast<int>(p), bucket[0]);
+    } else {
+      PushOutMany(static_cast<int>(p), bucket);
     }
     bucket.clear();
   }
-  return signal;
 }
 
 // --- DupElement ---
 
-int DupElement::Push(int port, const TuplePtr& t, const Callback& cb) {
+void DupElement::Push(int port, const TuplePtr& t) {
   P2_CHECK(port == 0);
-  (void)cb;
-  int signal = 1;
   for (size_t i = 0; i < num_outputs(); ++i) {
-    signal &= PushOut(static_cast<int>(i), t);
+    PushOut(static_cast<int>(i), t);
   }
-  return signal;
 }
 
-int DupElement::PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) {
+void DupElement::PushMany(int port, const std::vector<TuplePtr>& ts) {
   P2_CHECK(port == 0);
-  (void)cb;
-  int signal = 1;
   for (size_t i = 0; i < num_outputs(); ++i) {
-    signal &= PushOutMany(static_cast<int>(i), ts);
+    PushOutMany(static_cast<int>(i), ts);
   }
-  return signal;
 }
 
 // --- CallbackSink ---
 
-int CallbackSink::Push(int port, const TuplePtr& t, const Callback& cb) {
+void CallbackSink::Push(int port, const TuplePtr& t) {
   (void)port;
-  (void)cb;
   fn_(t);
-  return 1;
 }
 
 // --- PeriodicSource ---

@@ -1,12 +1,11 @@
-// General-purpose "glue" elements (§3.4): queues, (de)multiplexers,
-// duplicators, schedulers, sources and sinks.
+// General-purpose "glue" elements (§3.4): the input queue, the
+// demultiplexer, duplicators, periodic sources and sinks.
 #ifndef P2_DATAFLOW_BASIC_ELEMENTS_H_
 #define P2_DATAFLOW_BASIC_ELEMENTS_H_
 
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dataflow/element.h"
@@ -15,50 +14,44 @@
 
 namespace p2 {
 
-// Bounded FIFO queue: push input (port 0), pull output (port 0). Blocks on
-// both sides with callback signaling per the paper's design.
-class QueueElement : public Element {
+// The node's input queue (§3.3): a bounded FIFO that drains itself into
+// output 0 on the executor. Each drain is one deferred task that moves up
+// to kBatch tuples downstream through one PushMany, so the demultiplexer
+// can partition the batch per strand, and then yields, so one busy flow
+// cannot starve timers. A full batch schedules the next drain at once; a
+// drain that empties the queue before filling its batch parks, and the
+// next push schedules the next drain. A push is always accepted: when the
+// queue is full the oldest tuple is shed (overlays are soft state, and a
+// refused push would force the pusher to roll back, §3.3).
+class InputQueue : public Element {
  public:
-  QueueElement(std::string name, size_t capacity)
-      : Element(std::move(name)), capacity_(capacity) {}
+  static constexpr size_t kBatch = 64;
 
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-  TuplePtr Pull(int port, const Callback& cb) override;
+  InputQueue(std::string name, Executor* executor, size_t capacity)
+      : Element(std::move(name)), executor_(executor), capacity_(capacity) {}
+  ~InputQueue() override;
+
+  void Push(int port, const TuplePtr& t) override;
+  // Schedules the first drain. Call once after wiring.
+  void Start();
 
   size_t size() const { return q_.size(); }
   uint64_t dropped() const { return dropped_; }
   void set_obs_dropped(obs::Counter* c) { obs_dropped_ = c; }
 
  private:
-  size_t capacity_;
-  std::deque<TuplePtr> q_;
-  Callback blocked_pusher_;
-  Callback blocked_puller_;
-  uint64_t dropped_ = 0;
-  obs::Counter* obs_dropped_ = nullptr;
-};
-
-// Active scheduler: pulls its input and pushes downstream, `period` seconds
-// apart (0 = drain continuously whenever tuples are available, via deferred
-// tasks so handlers stay run-to-completion).
-class TimedPullPush : public Element {
- public:
-  TimedPullPush(std::string name, Executor* executor, double period)
-      : Element(std::move(name)), executor_(executor), period_(period) {}
-  ~TimedPullPush() override;
-
-  // Begins scheduling. Must be called once after wiring.
-  void Start();
-
- private:
-  void RunOnce();
-  void Arm(double delay);
+  void Arm();
+  void Drain();
 
   Executor* executor_;
-  double period_;
-  bool armed_ = false;
-  TimerId timer_ = kInvalidTimer;
-  std::vector<TuplePtr> batch_;  // continuous-mode drain buffer, reused
+  size_t capacity_;
+  std::deque<TuplePtr> q_;
+  // The last drain emptied the queue: the next push schedules a drain.
+  bool parked_ = false;
+  TimerId timer_ = kInvalidTimer;  // the scheduled drain, if any
+  std::vector<TuplePtr> batch_;    // drain buffer, reused
+  uint64_t dropped_ = 0;
+  obs::Counter* obs_dropped_ = nullptr;
 };
 
 // Routes tuples to an output port chosen by tuple name. Dispatch is a
@@ -73,11 +66,11 @@ class DemuxByName : public Element {
   int PortFor(const std::string& tuple_name);
   void SetDefaultPort(int port) { default_port_ = port; }
 
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
+  void Push(int port, const TuplePtr& t) override;
   // Batched dispatch: partitions the batch by output port, then forwards
   // one sub-batch per port so downstream fan-out strands amortize
-  // signaling overhead.
-  int PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) override;
+  // per-tuple dispatch.
+  void PushMany(int port, const std::vector<TuplePtr>& ts) override;
 
   uint64_t unroutable() const { return unroutable_; }
   void set_obs_unroutable(obs::Counter* c) { obs_unroutable_ = c; }
@@ -101,8 +94,8 @@ class DemuxByName : public Element {
 class DupElement : public Element {
  public:
   explicit DupElement(std::string name) : Element(std::move(name)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-  int PushMany(int port, const std::vector<TuplePtr>& ts, const Callback& cb) override;
+  void Push(int port, const TuplePtr& t) override;
+  void PushMany(int port, const std::vector<TuplePtr>& ts) override;
 };
 
 // Terminal sink invoking a C++ callback (used for watch directives, app
@@ -111,7 +104,7 @@ class CallbackSink : public Element {
  public:
   using TupleFn = std::function<void(const TuplePtr&)>;
   CallbackSink(std::string name, TupleFn fn) : Element(std::move(name)), fn_(std::move(fn)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
+  void Push(int port, const TuplePtr& t) override;
 
  private:
   TupleFn fn_;
@@ -121,7 +114,7 @@ class CallbackSink : public Element {
 class DiscardElement : public Element {
  public:
   explicit DiscardElement(std::string name) : Element(std::move(name)) {}
-  int Push(int, const TuplePtr&, const Callback&) override { return 1; }
+  void Push(int, const TuplePtr&) override {}
 };
 
 // Emits `periodic(<local addr>, <unique id>, extras...)` every `period`

@@ -8,7 +8,6 @@ namespace p2 {
 
 void Graph::Connect(Element* src, int out_port, Element* dst, int in_port) {
   src->BindOutput(out_port, dst, in_port);
-  dst->BindInput(in_port, src, out_port);
   edges_.push_back(Edge{src, out_port, dst, in_port});
   ++num_edges_;
 }
@@ -34,7 +33,7 @@ void Graph::ObserveElement(Element* e) {
   const std::string kind = KindOf(e->name());
   e->set_obs_out(obs_registry_->GetCounter(
       obs_lane_, "p2_element_out_total{kind=\"" + kind + "\"}"));
-  if (auto* q = dynamic_cast<QueueElement*>(e)) {
+  if (auto* q = dynamic_cast<InputQueue*>(e)) {
     q->set_obs_dropped(obs_registry_->GetCounter(
         obs_lane_, "p2_queue_dropped_total{kind=\"" + kind + "\"}"));
   } else if (auto* d = dynamic_cast<DemuxByName*>(e)) {
@@ -72,7 +71,7 @@ size_t Graph::ApproxBytes() const {
   size_t bytes = sizeof(Graph);
   for (const auto& el : elements_) {
     bytes += sizeof(Element) + el->name().size() +
-             (el->num_inputs() + el->num_outputs()) * sizeof(Element::PortRef) + 64;
+             el->num_outputs() * sizeof(Element::PortRef) + 64;
   }
   return bytes;
 }

@@ -40,8 +40,7 @@ class Graph {
     return raw;
   }
 
-  // Connects src.out_port -> dst.in_port (both directions recorded so push
-  // and pull both traverse the edge).
+  // Connects src.out_port -> dst.in_port: src pushes into dst.
   void Connect(Element* src, int out_port, Element* dst, int in_port);
 
   size_t num_elements() const { return elements_.size(); }

@@ -47,25 +47,14 @@ Value AggFinal(AggKind kind, const Value& acc, int64_t count) {
   return acc;
 }
 
-// --- InsertElement / DeleteElement ---
+// --- InsertElement ---
 
-int InsertElement::Push(int port, const TuplePtr& t, const Callback& cb) {
+void InsertElement::Push(int port, const TuplePtr& t) {
   (void)port;
-  (void)cb;
   table_->Insert(t);
-  // Delta propagation happens through the table's listeners (so that every
-  // writer of the table feeds the same delta stream); nothing to push here.
-  return 1;
 }
 
-int DeleteElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  (void)cb;
-  table_->DeleteMatching(*t);
-  return 1;
-}
-
-// --- SupportCountElement / CountedRetractElement ---
+// --- RuleDriver ---
 
 namespace {
 
@@ -75,29 +64,6 @@ namespace {
 bool AddressedTo(const Tuple& t, const std::string& addr) {
   return t.size() > 0 && t.field(0).type() == ValueType::kAddr && t.field(0).AsAddr() == addr;
 }
-
-}  // namespace
-
-int SupportCountElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  if (counting_ && AddressedTo(*t, local_addr_)) {
-    counts_->Inc(*t);
-  }
-  return PushOut(0, t, cb);
-}
-
-int CountedRetractElement::Push(int port, const TuplePtr& t, const Callback& cb) {
-  (void)port;
-  (void)cb;
-  if (AddressedTo(*t, local_addr_)) {
-    counts_->Dec(*t, retracting_);
-  }
-  return 1;
-}
-
-// --- RuleDriver ---
-
-namespace {
 
 // True if evaluating `p` twice can give different results: it draws from
 // the RNG or reads the clock.
@@ -205,14 +171,18 @@ void RuleDriver::SetDistinct(size_t op, std::vector<size_t> cols) {
   agg_->distinct_cols.push_back(std::move(cols));
 }
 
-int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
+void RuleDriver::Push(int port, const TuplePtr& t) {
   (void)port;
+  Fire(t, /*ttl=*/false);
+}
+
+void RuleDriver::Fire(const TuplePtr& t, bool ttl) {
   if (event_arity_ != 0 && t->size() != event_arity_) {
     ++malformed_;
     if (obs_malformed_ != nullptr) {
       obs_malformed_->Inc();
     }
-    return 1;
+    return;
   }
   ++fires_;
   if (obs_fires_ != nullptr) {
@@ -229,6 +199,7 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
     frames_.push_back(std::make_unique<Frame>());
   }
   Frame& f = *frames_[depth_++];
+  f.ttl = ttl;
   if (f.slots.size() < t->size()) {
     f.slots.resize(t->size());
   }
@@ -236,10 +207,10 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
   if (agg_ != nullptr && f.fold == nullptr) {
     f.fold = std::make_unique<Fold>();
   }
-  int signal = Run(0, f, t->size(), cb);
+  Run(0, f, t->size());
   if (agg_ != nullptr) {
     if (TuplePtr result = TakeFolded(f, t->size())) {
-      signal = PushOut(0, result, cb);
+      Emit(result, f);
     }
   }
   --depth_;
@@ -249,7 +220,6 @@ int RuleDriver::Push(int port, const TuplePtr& t, const Callback& cb) {
             std::chrono::steady_clock::now() - t0)
             .count()));
   }
-  return signal;
 }
 
 std::vector<TuplePtr> RuleDriver::Probe(const Op& op, Frame& f, size_t width) {
@@ -267,13 +237,13 @@ std::vector<TuplePtr> RuleDriver::Probe(const Op& op, Frame& f, size_t width) {
   return op.table->LookupByCols(op.key_cols, f.keys);
 }
 
-int RuleDriver::Run(size_t i, Frame& f, size_t width, const Callback& cb) {
+void RuleDriver::Run(size_t i, Frame& f, size_t width) {
   for (; i < ops_.size(); ++i) {
     const Op& op = ops_[i];
     switch (op.kind) {
       case Op::Kind::kFilter:
         if (!vm_.Eval(op.expr, f.slots.data(), width).AsBool()) {
-          return 1;
+          return;
         }
         break;
       case Op::Kind::kAssign:
@@ -286,28 +256,54 @@ int RuleDriver::Run(size_t i, Frame& f, size_t width, const Callback& cb) {
       case Op::Kind::kAntiJoin: {
         bool any = op.key_cols.empty() ? op.table->size() > 0 : !Probe(op, f, width).empty();
         if (any) {
-          return 1;
+          return;
         }
         break;
       }
       case Op::Kind::kJoin: {
-        int signal = 1;
         for (const TuplePtr& row : Probe(op, f, width)) {
           if (f.slots.size() < width + row->size()) {
             f.slots.resize(width + row->size());
           }
           std::copy(row->fields().begin(), row->fields().end(), f.slots.begin() + width);
-          signal &= Run(i + 1, f, width + row->size(), cb);
+          Run(i + 1, f, width + row->size());
         }
-        return signal;
+        return;
       }
     }
   }
   if (agg_ != nullptr) {
     FoldBinding(f, width);
-    return 1;
+    return;
   }
-  return PushOut(0, Tuple::Make(head_schema_, HeadFields(f, width)), cb);
+  Emit(Tuple::Make(head_schema_, HeadFields(f, width)), f);
+}
+
+void RuleDriver::Emit(const TuplePtr& head, const Frame& f) {
+  CountOut();
+  if (tail_.watch) {
+    tail_.watch(head);
+  }
+  switch (tail_.kind) {
+    case Tail::Kind::kRoute:
+      break;
+    case Tail::Kind::kCountRoute:
+      if (!f.ttl && AddressedTo(*head, tail_.local_addr)) {
+        tail_.counts->Inc(*head);
+      }
+      break;
+    case Tail::Kind::kRetract:
+      if (AddressedTo(*head, tail_.local_addr)) {
+        tail_.counts->Dec(*head, /*retract=*/!f.ttl);
+      }
+      return;
+    case Tail::Kind::kDelete:
+      tail_.table->DeleteMatching(*head);
+      return;
+  }
+  if (tail_.route) {
+    tail_.route(head);
+  }
 }
 
 std::vector<Value> RuleDriver::HeadFields(const Frame& f, size_t width) {
@@ -483,7 +479,7 @@ void TableAggWatcher::EmitGroup(const std::vector<Value>& key) {
     if (kind_ == AggKind::kCount) {
       std::vector<Value> fields = key;
       fields.push_back(Value::Int(0));
-      PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
+      Emit(std::move(fields));
     }
     last_.erase(prev);
     return;
@@ -514,7 +510,14 @@ void TableAggWatcher::EmitGroup(const std::vector<Value>& key) {
   last_[key] = v;
   std::vector<Value> fields = key;
   fields.push_back(v);
-  PushOut(0, Tuple::Make(out_schema_, std::move(fields)));
+  Emit(std::move(fields));
+}
+
+void TableAggWatcher::Emit(std::vector<Value> fields) {
+  CountOut();
+  if (route_) {
+    route_(Tuple::Make(out_schema_, std::move(fields)));
+  }
 }
 
 }  // namespace p2

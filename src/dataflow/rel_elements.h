@@ -1,12 +1,14 @@
 // Relational dataflow elements (§3.4): rule strands (selections,
 // projections, stream × table equijoins and anti-joins run over one
-// binding frame), aggregation, support counting, and table insert/delete
-// bridges. These are the elements the planner assembles rule variants
-// from; most are parameterized by PEL programs.
+// binding frame, then the rule's tail: support counting, retraction,
+// deletion or routing), table aggregates, and the table insert bridge.
+// These are the elements the planner assembles rule variants from; most
+// are parameterized by PEL programs.
 #ifndef P2_DATAFLOW_REL_ELEMENTS_H_
 #define P2_DATAFLOW_REL_ELEMENTS_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,68 +29,20 @@ struct JoinKey {
   PelProgram expr;
 };
 
-// Inserts pushed tuples into a table. When the table content changes, the
-// tuple continues downstream on port 0 as the table's delta stream.
+// Where a head tuple leaves the dataflow: P2Node's router (send a remote
+// head, store or loop back a local one), or a test's collector.
+using HeadFn = std::function<void(const TuplePtr&)>;
+
+// Inserts pushed tuples into a table. Delta propagation happens through
+// the table's listeners, so that every writer of the table feeds the same
+// delta stream; nothing leaves this element.
 class InsertElement : public Element {
  public:
   InsertElement(std::string name, Table* table) : Element(std::move(name)), table_(table) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
+  void Push(int port, const TuplePtr& t) override;
 
  private:
   Table* table_;
-};
-
-// Deletes the row whose primary key matches the pushed (derived) tuple.
-class DeleteElement : public Element {
- public:
-  DeleteElement(std::string name, Table* table) : Element(std::move(name)), table_(table) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
- private:
-  Table* table_;
-};
-
-// Counting planner, derivation side: records one support for each locally
-// addressed head tuple flowing to the router, then passes it through.
-// `counting` is a per-push mode the planner's delta listener sets before
-// driving the chain: a TTL refresh of an identical body row re-derives the
-// head (the refresh must propagate) but is NOT a new support.
-class SupportCountElement : public Element {
- public:
-  SupportCountElement(std::string name, SupportCounts* counts, std::string local_addr)
-      : Element(std::move(name)), counts_(counts), local_addr_(std::move(local_addr)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
-  void set_counting(bool on) { counting_ = on; }
-  bool counting() const { return counting_; }
-
- private:
-  SupportCounts* counts_;
-  std::string local_addr_;
-  bool counting_ = true;
-};
-
-// Counting planner, retraction side: terminal element of a counted remove
-// chain. Decrements the support count of each locally addressed
-// re-derived head tuple; deletes the head row when the count reaches zero
-// — unless `retracting` is false (the support merely expired), in which
-// case the count drops but the row is left to age out by its own TTL. A
-// remotely addressed head is ignored, matching the derivation side: it
-// ages out by soft-state expiry on the node it shipped to (there is no
-// wire delete).
-class CountedRetractElement : public Element {
- public:
-  CountedRetractElement(std::string name, SupportCounts* counts, std::string local_addr)
-      : Element(std::move(name)), counts_(counts), local_addr_(std::move(local_addr)) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
-
-  void set_retracting(bool on) { retracting_ = on; }
-  bool retracting() const { return retracting_; }
-
- private:
-  SupportCounts* counts_;
-  std::string local_addr_;
-  bool retracting_ = true;
 };
 
 enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
@@ -101,12 +55,17 @@ enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
 // concatenated tuple an element-per-operator chain would pass along: the
 // event's fields, then each joined row's fields, then each assigned
 // value, so compiled PEL field indices address it directly. Only the head
-// tuple is built; it leaves on port 0 for the rule's tail (watch tap,
-// support count or retraction, delete, routing), with the caller's
-// callback, and Push returns the AND of those pushes' signals.
+// tuple is built, and the strand applies the rule's tail to it (see
+// Tail): an optional watch tap, then routing, counting and routing,
+// retraction, or deletion. A strand has no output ports.
+//
+// A fire of a counted variant carries a mode (Fire's `ttl`): a delta that
+// is only a TTL refresh re-derives and routes its heads without counting
+// them as new supports, and an expiry decrements supports without
+// deleting the head at zero, so soft-state expiry never retracts.
 //
 // An aggregate strand (§3.4's per-event "AggWrap") folds its bindings
-// itself and pushes one result when the fire ends. min/max have
+// itself and emits one result when the fire ends. min/max have
 // *selection* semantics: the result is the head of the first binding with
 // the best aggregate value (this is what makes OverLog patterns like
 // Narada's "pick the member with max<R>, R := f_rand()" and Chord's
@@ -126,12 +85,31 @@ enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
 // Re-entrancy: a local head is inserted into its table synchronously, and
 // that insert can fire this same strand again before the outer fire ends
 // (Chord's CM9 `succ :- succ, pingResp` inserts into the table it probes).
-// Each re-entrancy depth reuses its own frame, fold state included, so
-// once a depth has been reached a fire allocates no frame, and a nested
-// fire never clobbers outer bindings; every probe iterates a snapshot, so
-// nested inserts do not change what an outer probe visits.
+// Each re-entrancy depth reuses its own frame, fold state and fire mode
+// included, so once a depth has been reached a fire allocates no frame,
+// and a nested fire never clobbers outer bindings or the outer mode; every
+// probe iterates a snapshot, so nested inserts do not change what an
+// outer probe visits.
 class RuleDriver : public Element {
  public:
+  // What the strand does with each head tuple it builds, set at plan time.
+  struct Tail {
+    enum class Kind {
+      kRoute,       // hand the head to `route`
+      kCountRoute,  // count a local head as one more support, then route
+      kRetract,     // drop one support of a local head; delete it at zero
+      kDelete,      // delete the head's row from `table`
+    };
+    Kind kind = Kind::kRoute;
+    HeadFn watch;  // optional tap, run first on every head
+    HeadFn route;  // kRoute, kCountRoute; unset drops the head
+    // kCountRoute, kRetract: only heads addressed to `local_addr` are
+    // counted; a remote head is stored, and ages out, where it ships to.
+    SupportCounts* counts = nullptr;
+    std::string local_addr;
+    Table* table = nullptr;  // kDelete
+  };
+
   RuleDriver(std::string name, PelEnv env) : Element(std::move(name)), vm_(env) {}
 
   // Body ops, appended in evaluation order. Programs are lowered to
@@ -168,8 +146,13 @@ class RuleDriver : public Element {
   // from its first occurrence: a min/max fold with nothing volatile after
   // the join. Call after SetAggregate.
   void SetDistinct(size_t op, std::vector<size_t> cols);
+  void SetTail(Tail tail) { tail_ = std::move(tail); }
 
-  int Push(int port, const TuplePtr& t, const Callback& cb) override;
+  // Fires the strand on `event`. `ttl` marks a TTL refresh or expiry (see
+  // the class comment); it changes only what count and retract tails do.
+  void Fire(const TuplePtr& event, bool ttl);
+  // A stream or periodic event: Fire(t, false).
+  void Push(int port, const TuplePtr& t) override;
 
   // Events must have exactly `n` fields; 0 (hand-built strands) accepts
   // any width.
@@ -215,21 +198,24 @@ class RuleDriver : public Element {
   };
   // One re-entrancy depth's working state: the binding frame (only a
   // prefix is live; slots past it hold stale values until overwritten),
-  // the key values of the probe in flight, and an aggregate fire's fold.
+  // the key values of the probe in flight, an aggregate fire's fold, and
+  // the fire's mode.
   struct Frame {
     std::vector<Value> slots;
     std::vector<Value> keys;
     std::unique_ptr<Fold> fold;  // aggregate strands only
+    bool ttl = false;
   };
 
   void AddProbe(Op::Kind kind, Table* table, std::vector<JoinKey> keys);
   // Rows of op's table matching its keys over the frame's first `width`
   // slots (a snapshot).
   std::vector<TuplePtr> Probe(const Op& op, Frame& f, size_t width);
-  // Runs ops_[i..] over the frame's first `width` slots, pushing one head
+  // Runs ops_[i..] over the frame's first `width` slots, emitting one head
   // tuple per surviving binding (or folding it, in an aggregate strand).
-  // Returns the AND of the head signals.
-  int Run(size_t i, Frame& f, size_t width, const Callback& cb);
+  void Run(size_t i, Frame& f, size_t width);
+  // Applies the tail to one head built in frame `f`.
+  void Emit(const TuplePtr& head, const Frame& f);
   std::vector<Value> HeadFields(const Frame& f, size_t width);
   void FoldBinding(Frame& f, size_t width);
   // The fire's aggregate result, or null (no binding, no empty emission).
@@ -241,6 +227,7 @@ class RuleDriver : public Element {
   SchemaId head_schema_ = kInvalidSchema;
   std::vector<PelProgram> head_;
   std::unique_ptr<Aggregate> agg_;
+  Tail tail_;
   // Indexed by re-entrancy depth, allocated on first use at each depth;
   // boxed so growing the vector never moves a frame an outer fire is using.
   std::vector<std::unique_ptr<Frame>> frames_;
@@ -255,9 +242,9 @@ class RuleDriver : public Element {
 
 // Maintains an aggregate over a whole table (§3.4 "aggregation elements
 // that maintain an up-to-date aggregate on a table and emit it whenever it
-// changes"). Groups by `group_cols` of the table's rows and emits tuples
-// (group fields..., aggregate) under `out_name` for groups whose aggregate
-// changed.
+// changes"). Groups by `group_cols` of the table's rows and hands tuples
+// (group fields..., aggregate) named `out_name` to its route for groups
+// whose aggregate changed.
 //
 // Maintenance is incremental over the table's typed delta stream:
 // count/sum/avg update in O(1) per delta; min/max keep a per-group ordered
@@ -269,8 +256,12 @@ class TableAggWatcher : public Element {
   TableAggWatcher(std::string name, Table* table, std::vector<size_t> group_cols,
                   AggKind kind, size_t agg_col, std::string out_name);
 
+  // Where emitted tuples go (a watch tap, if any, wrapped around the
+  // node's router); unset drops them.
+  void SetRoute(HeadFn route) { route_ = std::move(route); }
+
   // Subscribes to the table (inserts AND removals — aggregates must shrink
-  // when rows are deleted, evicted or expire). Call once after wiring.
+  // when rows are deleted, evicted or expire). Call once, after SetRoute.
   // Seeds the running state from the table's current rows without
   // emitting; the first report happens on the first post-attach delta.
   void Attach();
@@ -297,12 +288,14 @@ class TableAggWatcher : public Element {
   // Emits the group's aggregate if it changed since last reported; emits
   // (key..., 0) for a vanished count group.
   void EmitGroup(const std::vector<Value>& key);
+  void Emit(std::vector<Value> fields);
 
   Table* table_;
   std::vector<size_t> group_cols_;
   AggKind kind_;
   size_t agg_col_;
   SchemaId out_schema_;
+  HeadFn route_;
   // Deltas arriving while one is being processed (e.g. a downstream rule
   // writing back into this table) are queued and drained in order by the
   // active invocation.

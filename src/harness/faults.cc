@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "src/net/stack/frame.h"
-#include "src/net/wire.h"
 #include "src/runtime/logging.h"
 
 namespace p2 {
@@ -92,24 +90,6 @@ bool ParseDomainSet(const std::string& s, std::vector<size_t>* out) {
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
   return !out->empty();
-}
-
-// Does the (possibly corrupted) datagram still survive the receive-side
-// parse chain? Mirrors P2Node::OnPacket / ReliableChannel: 0xD5 frames go
-// through the strict stack decoder (and their DATA payload through the
-// tuple unframer); everything else is parsed as a plain framed tuple.
-bool StillParses(const std::vector<uint8_t>& bytes) {
-  if (LooksLikeStackFrame(bytes)) {
-    std::optional<StackFrame> f = DecodeStackFrame(bytes);
-    if (!f.has_value()) {
-      return false;
-    }
-    if (!f->has_data) {
-      return true;  // pure ACK: header fields damaged but well-formed
-    }
-    return UnframeTuple(f->payload).has_value();
-  }
-  return UnframeTuple(bytes).has_value();
 }
 
 }  // namespace
@@ -227,8 +207,6 @@ void FaultInjector::BindObs(obs::Registry* registry) {
         registry->GetCounter(lane, "p2_fault_partition_dropped_total"));
     spike_delayed_.push_back(registry->GetCounter(lane, "p2_fault_spike_delayed_total"));
     corrupt_injected_.push_back(registry->GetCounter(lane, "p2_corrupt_injected_total"));
-    corrupt_dropped_.push_back(registry->GetCounter(lane, "p2_corrupt_dropped_total"));
-    corrupt_passed_.push_back(registry->GetCounter(lane, "p2_corrupt_passed_total"));
   }
   partition_gauge_ = registry->GetGauge(lanes - 1, "p2_fault_partition_active");
 }
@@ -333,11 +311,6 @@ void FaultInjector::MaybeCorrupt(double now, size_t lane, Rng* rng,
   }
   if (lane < corrupt_injected_.size()) {
     corrupt_injected_[lane]->Inc();
-    if (StillParses(*bytes)) {
-      corrupt_passed_[lane]->Inc();
-    } else {
-      corrupt_dropped_[lane]->Inc();
-    }
   }
 }
 

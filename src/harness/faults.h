@@ -132,10 +132,9 @@ class FaultInjector {
                   Rng* rng);
 
   // With probability corrupt_rate, flips 1-3 random bytes of `bytes` in
-  // place and classifies the damage: p2_corrupt_dropped_total counts
-  // corrupted datagrams the bounds-checked wire parsers will reject,
-  // p2_corrupt_passed_total those that still parse (garbage field values —
-  // the receiver's type checks are their last line of defense).
+  // place and counts the hit in p2_corrupt_injected_total. What the damage
+  // does is counted where it lands: a receiver rejecting a frame bumps
+  // p2_node_bad_packets_total or p2_channel_bad_frames_total.
   void MaybeCorrupt(double now, size_t lane, Rng* rng, std::vector<uint8_t>* bytes);
 
   // Product of the factors of every spike active at `now` that touches
@@ -166,8 +165,6 @@ class FaultInjector {
   std::vector<obs::Counter*> partition_dropped_;
   std::vector<obs::Counter*> spike_delayed_;
   std::vector<obs::Counter*> corrupt_injected_;
-  std::vector<obs::Counter*> corrupt_dropped_;
-  std::vector<obs::Counter*> corrupt_passed_;
 };
 
 // Executor decorator for slow nodes: every ScheduleAfter delay is

@@ -34,7 +34,7 @@ ReliableChannel::~ReliableChannel() {
 ReliableChannel::Peer& ReliableChannel::GetPeer(const std::string& addr) {
   auto it = peers_.find(addr);
   if (it == peers_.end()) {
-    it = peers_.emplace(addr, Peer(config_)).first;
+    it = peers_.emplace(addr, Peer(addr, config_)).first;
     it->second.send_stream = NextStreamId();
   }
   return it->second;
@@ -52,12 +52,12 @@ void ReliableChannel::SendTo(const std::string& to, std::vector<uint8_t> bytes,
   auto [it, inserted] =
       peer.in_flight.emplace(seq, InFlight{std::move(bytes), cls, now, now, 0});
   (void)inserted;
-  TransmitData(to, peer, seq, it->second, cls);
-  ArmRetxTimer(to, peer);
+  TransmitData(peer, seq, it->second, cls);
+  ArmRetxTimer(peer);
 }
 
-void ReliableChannel::TransmitData(const std::string& to, Peer& peer, uint32_t seq,
-                                   InFlight& frame, TrafficClass cls) {
+void ReliableChannel::TransmitData(Peer& peer, uint32_t seq, InFlight& frame,
+                                   TrafficClass cls) {
   StackFrame f;
   f.has_data = true;
   f.epoch = peer.send_stream;
@@ -71,10 +71,10 @@ void ReliableChannel::TransmitData(const std::string& to, Peer& peer, uint32_t s
   } else {
     ++peer.counters.data_frames_sent;
   }
-  inner_->SendTo(to, EncodeStackFrame(f, frame.payload), cls);
+  inner_->SendTo(peer.addr, EncodeStackFrame(f, frame.payload), cls);
 }
 
-void ReliableChannel::DrainQueue(const std::string& to, Peer& peer) {
+void ReliableChannel::DrainQueue(Peer& peer) {
   double now = executor_->Now();
   while (peer.in_flight.size() < peer.cwnd.Allowance()) {
     std::optional<SendQueue::Item> item = peer.queue.Pop();
@@ -86,26 +86,22 @@ void ReliableChannel::DrainQueue(const std::string& to, Peer& peer) {
     auto [it, inserted] =
         peer.in_flight.emplace(seq, InFlight{std::move(item->payload), cls, now, now, 0});
     (void)inserted;
-    TransmitData(to, peer, seq, it->second, cls);
+    TransmitData(peer, seq, it->second, cls);
   }
-  ArmRetxTimer(to, peer);
+  ArmRetxTimer(peer);
 }
 
-void ReliableChannel::ArmRetxTimer(const std::string& to, Peer& peer) {
+void ReliableChannel::ArmRetxTimer(Peer& peer) {
   if (peer.retx_timer != kInvalidTimer || peer.in_flight.empty()) {
     return;
   }
   double due = peer.in_flight.begin()->second.last_sent_at + peer.rtt.Rto();
   double delay = std::max(0.0, due - executor_->Now());
-  peer.retx_timer = executor_->ScheduleAfter(delay, [this, to]() { OnRetxTimeout(to); });
+  Peer* p = &peer;
+  peer.retx_timer = executor_->ScheduleAfter(delay, [this, p]() { OnRetxTimeout(*p); });
 }
 
-void ReliableChannel::OnRetxTimeout(const std::string& to) {
-  auto it = peers_.find(to);
-  if (it == peers_.end()) {
-    return;
-  }
-  Peer& peer = it->second;
+void ReliableChannel::OnRetxTimeout(Peer& peer) {
   peer.retx_timer = kInvalidTimer;
   if (peer.in_flight.empty()) {
     return;
@@ -115,7 +111,7 @@ void ReliableChannel::OnRetxTimeout(const std::string& to) {
   double now = executor_->Now();
   if (due > now + 1e-9) {
     // Stale wakeup: an ACK advanced the window since this timer was armed.
-    ArmRetxTimer(to, peer);
+    ArmRetxTimer(peer);
     return;
   }
   ++peer.counters.timeouts;
@@ -129,13 +125,13 @@ void ReliableChannel::OnRetxTimeout(const std::string& to) {
     // eventually slides past every new frame). Renumber the stream so the
     // remaining frames start over from 1; retry budgets carry over, so
     // frames to a genuinely dead peer still drain and expire.
-    ResetSendStream(to, peer);
+    ResetSendStream(peer);
     return;
   }
   ++oldest->second.retries;
-  TransmitData(to, peer, oldest->first, oldest->second, TrafficClass::kRetransmit);
-  DrainQueue(to, peer);
-  ArmRetxTimer(to, peer);
+  TransmitData(peer, oldest->first, oldest->second, TrafficClass::kRetransmit);
+  DrainQueue(peer);
+  ArmRetxTimer(peer);
 }
 
 void ReliableChannel::OnDatagram(const std::string& from, const std::vector<uint8_t>& bytes) {
@@ -153,16 +149,15 @@ void ReliableChannel::OnDatagram(const std::string& from, const std::vector<uint
   }
   Peer& peer = GetPeer(from);
   if (f->has_ack) {
-    HandleAckInfo(from, peer, f->ack_epoch, f->cum_ack, f->sack_bits);
+    HandleAckInfo(peer, f->ack_epoch, f->cum_ack, f->sack_bits);
   }
   if (f->has_data) {
     StackFrameView view{f->epoch, f->seq, &f->payload};
-    HandleData(from, peer, view);
+    HandleData(peer, view);
   }
 }
 
-void ReliableChannel::HandleAckInfo(const std::string& from, Peer& peer,
-                                    uint32_t ack_epoch, uint32_t cum_ack,
+void ReliableChannel::HandleAckInfo(Peer& peer, uint32_t ack_epoch, uint32_t cum_ack,
                                     uint32_t sack_bits) {
   if (ack_epoch != peer.send_stream) {
     return;  // stale: acks a previous stream incarnation
@@ -174,7 +169,7 @@ void ReliableChannel::HandleAckInfo(const std::string& from, Peer& peer,
     // with no receive state for our numbering: start a fresh stream.
     if (++peer.regressed_acks >= 2) {
       peer.regressed_acks = 0;
-      ResetSendStream(from, peer);
+      ResetSendStream(peer);
     }
     return;
   }
@@ -250,13 +245,13 @@ void ReliableChannel::HandleAckInfo(const std::string& from, Peer& peer,
       peer.cwnd.OnLoss();
     }
     ++peer.counters.fast_retransmits;
-    TransmitData(from, peer, seq, frame, TrafficClass::kRetransmit);
+    TransmitData(peer, seq, frame, TrafficClass::kRetransmit);
   }
   peer.last_cum_seen = cum_ack;
-  DrainQueue(from, peer);
+  DrainQueue(peer);
 }
 
-void ReliableChannel::ResetSendStream(const std::string& to, Peer& peer) {
+void ReliableChannel::ResetSendStream(Peer& peer) {
   ++peer.counters.stream_resets;
   peer.send_stream = NextStreamId();
   peer.last_cum_seen = 0;
@@ -291,17 +286,16 @@ void ReliableChannel::ResetSendStream(const std::string& to, Peer& peer) {
       auto [it, inserted] = peer.in_flight.emplace(
           seq, InFlight{std::move(item.payload), item.cls, now, now, item.retries});
       (void)inserted;
-      TransmitData(to, peer, seq, it->second,
+      TransmitData(peer, seq, it->second,
                    item.retries > 0 ? TrafficClass::kRetransmit : item.cls);
     } else {
       peer.queue.Push(SendQueue::Item{std::move(item.payload), item.cls});
     }
   }
-  ArmRetxTimer(to, peer);
+  ArmRetxTimer(peer);
 }
 
-void ReliableChannel::HandleData(const std::string& from, Peer& peer,
-                                 const StackFrameView& data) {
+void ReliableChannel::HandleData(Peer& peer, const StackFrameView& data) {
   if (data.seq == 0) {
     ++bad_frames_;  // seq 0 is never assigned
     return;
@@ -319,7 +313,7 @@ void ReliableChannel::HandleData(const std::string& from, Peer& peer,
   if (duplicate) {
     // Our ACK was lost; re-ack so the sender stops retransmitting.
     ++peer.counters.duplicates_received;
-    ScheduleAck(from, peer);
+    ScheduleAck(peer);
     return;
   }
   if (peer.recv_ahead.size() >= config_.reorder_window) {
@@ -334,28 +328,24 @@ void ReliableChannel::HandleData(const std::string& from, Peer& peer,
     peer.recv_ahead.erase(peer.recv_ahead.begin());
     ++peer.cum_recv;
   }
-  ScheduleAck(from, peer);
+  ScheduleAck(peer);
   if (receiver_) {
-    receiver_(from, *data.payload);
+    receiver_(peer.addr, *data.payload);
   }
 }
 
-void ReliableChannel::ScheduleAck(const std::string& to, Peer& peer) {
+void ReliableChannel::ScheduleAck(Peer& peer) {
   if (peer.ack_timer != kInvalidTimer) {
     return;
   }
-  peer.ack_timer =
-      executor_->ScheduleAfter(config_.ack_delay_s, [this, to]() {
-        auto it = peers_.find(to);
-        if (it == peers_.end()) {
-          return;
-        }
-        it->second.ack_timer = kInvalidTimer;
-        SendPureAck(to, it->second);
-      });
+  Peer* p = &peer;
+  peer.ack_timer = executor_->ScheduleAfter(config_.ack_delay_s, [this, p]() {
+    p->ack_timer = kInvalidTimer;
+    SendPureAck(*p);
+  });
 }
 
-void ReliableChannel::SendPureAck(const std::string& to, Peer& peer) {
+void ReliableChannel::SendPureAck(Peer& peer) {
   StackFrame f;
   f.epoch = epoch_;
   FillAckState(peer, &f.has_ack, &f.ack_epoch, &f.cum_ack, &f.sack_bits);
@@ -363,7 +353,7 @@ void ReliableChannel::SendPureAck(const std::string& to, Peer& peer) {
     return;  // nothing ever received from this peer
   }
   ++peer.counters.acks_sent;
-  inner_->SendTo(to, EncodeStackFrame(f), TrafficClass::kControl);
+  inner_->SendTo(peer.addr, EncodeStackFrame(f), TrafficClass::kControl);
 }
 
 void ReliableChannel::FillAckState(Peer& peer, bool* has_ack, uint32_t* ack_epoch,

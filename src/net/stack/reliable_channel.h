@@ -94,8 +94,14 @@ class ReliableChannel : public Transport {
   };
 
   struct Peer {
-    explicit Peer(const ReliableConfig& config)
-        : queue(config.send_queue_capacity), cwnd(config.aimd), rtt(config.rtt) {}
+    Peer(std::string address, const ReliableConfig& config)
+        : addr(std::move(address)),
+          queue(config.send_queue_capacity),
+          cwnd(config.aimd),
+          rtt(config.rtt) {}
+
+    // The peer's transport address: frames to it go here.
+    std::string addr;
 
     // --- send direction ---
     // Stream incarnation carried in our DATA frames to this peer; regenerated
@@ -138,6 +144,9 @@ class ReliableChannel : public Transport {
     const std::vector<uint8_t>* payload;
   };
 
+  // The peer at `addr`, created on first use. Peers are never erased
+  // before the channel dies (whose destructor cancels their timers), and
+  // map nodes do not move, so timers may hold a Peer*.
   Peer& GetPeer(const std::string& addr);
   uint32_t NextStreamId();
   // Starts a fresh stream incarnation to `peer`: new stream id, sequences
@@ -145,19 +154,17 @@ class ReliableChannel : public Transport {
   // peer's cumulative ACK moves backwards — impossible within one receiver
   // incarnation, so the peer must have restarted (churn replacement
   // reusing the address) and lost its receive state for our old numbering.
-  void ResetSendStream(const std::string& to, Peer& peer);
+  void ResetSendStream(Peer& peer);
   void OnDatagram(const std::string& from, const std::vector<uint8_t>& bytes);
-  void HandleAckInfo(const std::string& from, Peer& peer, uint32_t ack_epoch,
-                     uint32_t cum_ack, uint32_t sack_bits);
-  void HandleData(const std::string& from, Peer& peer, const StackFrameView& data);
+  void HandleAckInfo(Peer& peer, uint32_t ack_epoch, uint32_t cum_ack, uint32_t sack_bits);
+  void HandleData(Peer& peer, const StackFrameView& data);
   // Admits queued frames up to the congestion window.
-  void DrainQueue(const std::string& to, Peer& peer);
-  void TransmitData(const std::string& to, Peer& peer, uint32_t seq,
-                    InFlight& frame, TrafficClass cls);
-  void ArmRetxTimer(const std::string& to, Peer& peer);
-  void OnRetxTimeout(const std::string& to);
-  void ScheduleAck(const std::string& to, Peer& peer);
-  void SendPureAck(const std::string& to, Peer& peer);
+  void DrainQueue(Peer& peer);
+  void TransmitData(Peer& peer, uint32_t seq, InFlight& frame, TrafficClass cls);
+  void ArmRetxTimer(Peer& peer);
+  void OnRetxTimeout(Peer& peer);
+  void ScheduleAck(Peer& peer);
+  void SendPureAck(Peer& peer);
   // Fills the piggyback/ack fields for a frame headed to `peer` and
   // cancels any pending delayed-ACK timer (the frame carries the ack).
   void FillAckState(Peer& peer, bool* has_ack, uint32_t* ack_epoch,

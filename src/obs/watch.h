@@ -1,8 +1,8 @@
 // OverLog `watch(pred)` support (paper §7: tuple-level tracing as a
 // language feature, not a debugger bolted on).
 //
-// The planner splices a WatchTapElement onto every dataflow edge that
-// produces a watched predicate (rule heads, table-aggregate outputs) and
+// The planner puts a tap at every place that produces a watched predicate
+// (the tail of each rule strand deriving it, table-aggregate outputs) and
 // subscribes to its arrivals, so each tuple is logged with the node's
 // virtual timestamp, its address, the tap point and the producing rule's
 // chain label. Output goes through one process-wide sink: stderr by
@@ -13,8 +13,7 @@
 #include <functional>
 #include <string>
 
-#include "src/dataflow/element.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/tuple.h"
 
 namespace p2 {
 namespace obs {
@@ -34,33 +33,6 @@ std::string FormatWatchLine(double vt, const std::string& node, const char* poin
                             const std::string& label, const Tuple& t);
 
 }  // namespace obs
-
-// Pass-through element logging every tuple that crosses it. The planner
-// inserts one per watched rule-head edge, immediately before head routing.
-class WatchTapElement : public Element {
- public:
-  WatchTapElement(std::string name, Executor* executor, std::string node_addr,
-                  const char* point, std::string label)
-      : Element(std::move(name)),
-        executor_(executor),
-        node_addr_(std::move(node_addr)),
-        point_(point),
-        label_(std::move(label)) {}
-
-  int Push(int port, const TuplePtr& t, const Callback& cb) override {
-    (void)port;
-    obs::EmitWatch(
-        obs::FormatWatchLine(executor_->Now(), node_addr_, point_, label_, *t));
-    return PushOut(0, t, cb);
-  }
-
- private:
-  Executor* executor_;
-  std::string node_addr_;
-  const char* point_;
-  std::string label_;
-};
-
 }  // namespace p2
 
 #endif  // P2_OBS_WATCH_H_

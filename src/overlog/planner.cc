@@ -315,22 +315,17 @@ class PlanBuilder {
   };
 
   // One rule variant under construction: its strand (the driver, which
-  // holds the body ops and head programs), its joins, and the last element
-  // of its tail.
+  // holds the body ops, head programs and tail) and its joins.
   struct Chain {
     RuleDriver* driver = nullptr;
-    Element* tail = nullptr;
     std::vector<StrandJoin> joins = {};
-    // Support-count element closing a counted chain (at most one of the
-    // two is set); WireEvent hands it to the event listener, which sets
-    // its per-push mode.
-    SupportCountElement* counter = nullptr;
-    CountedRetractElement* retractor = nullptr;
   };
 
-  void Append(Chain* chain, Element* el) {
-    graph_.Connect(chain->tail, 0, el, 0);
-    chain->tail = el;
+  // The node's router: where every rule head and table aggregate output
+  // ends up unless its tail retracts or deletes it.
+  HeadFn Router() {
+    P2Node* node = node_;
+    return [node](const TuplePtr& t) { node->RouteTuple(t); };
   }
 
   // Lazily creates the per-head-table derivation count store; shared by
@@ -604,12 +599,14 @@ class PlanBuilder {
     auto* watcher =
         graph_.Add<TableAggWatcher>(Gensym("tableagg:" + rule.head.name), table,
                                     std::move(group_cols), agg.kind, agg_col, rule.head.name);
-    if (WatchTapElement* tap = MaybeHeadTap(rule.head.name, label)) {
-      graph_.Connect(watcher, 0, tap, 0);
-      graph_.Connect(tap, 0, node_->route_out_, 0);
-    } else {
-      graph_.Connect(watcher, 0, node_->route_out_, 0);
+    HeadFn route = Router();
+    if (HeadFn tap = MaybeHeadTap(rule.head.name, label)) {
+      route = [tap = std::move(tap), route = std::move(route)](const TuplePtr& t) {
+        tap(t);
+        route(t);
+      };
     }
+    watcher->SetRoute(std::move(route));
     watcher->Attach();
     *planned = true;
     return true;
@@ -749,7 +746,7 @@ class PlanBuilder {
     auto* driver = graph_.Add<RuleDriver>("rule:" + label, MakePelEnv());
     driver->set_event_arity(event.args.size());
     node_->rule_drivers_.emplace_back(label, driver);
-    Chain chain{driver, driver};
+    Chain chain{driver};
     VarEnv env;
     size_t width = event.args.size();
     if (!BindEvent(event, &chain, &env, err, /*skip_constant_checks=*/is_periodic)) {
@@ -771,17 +768,17 @@ class PlanBuilder {
       return false;
     }
 
-    // 3 + 4. Head projection and routing.
+    // 3 + 4. Head projection and the strand's tail.
     if (!FinishChainTail(rule, agg, event, trig, label, counted, &chain, env, err)) {
       return false;
     }
 
     // 5. Event source wiring.
-    return WireEvent(rule, event, trig, chain, err);
+    return WireEvent(rule, event, trig, counted, driver, err);
   }
 
   // Steps 3 + 4 of rule planning: the strand's head projection and
-  // aggregate fold, then the tail: watch tap, head routing / retraction.
+  // aggregate fold, then its tail: watch tap, head routing / retraction.
   bool FinishChainTail(const RuleAst& rule, const AggInfo& agg, const PredicateAst& event,
                        TriggerKind trig, const std::string& label, bool counted, Chain* chain,
                        const VarEnv& env, std::string* err) {
@@ -842,20 +839,18 @@ class PlanBuilder {
       }
     }
 
-    // 4. Head routing. A watched head gets its tap here — after the strand,
-    // before routing — so every derivation is logged exactly once with the
-    // producing rule variant's label.
-    if (WatchTapElement* tap = MaybeHeadTap(rule.head.name, label)) {
-      Append(chain, tap);
-    }
+    // 4. The tail. A watched head gets its tap first, so every derivation
+    // is logged exactly once with the producing rule variant's label.
+    RuleDriver::Tail tail;
+    tail.watch = MaybeHeadTap(rule.head.name, label);
     if (trig == TriggerKind::kDeltaRemove) {
       Table* head_table = FindTable(rule.head.name);
       P2_CHECK(counted && head_table != nullptr);  // remove variants are counted
-      // Retraction only un-derives rows stored on this node; the retractor
+      // Retraction only un-derives rows stored on this node; the tail
       // ignores a remote head, which ages out by soft-state expiry.
-      chain->retractor = graph_.Add<CountedRetractElement>(
-          Gensym("countretract:" + rule.head.name), GetSupportCounts(head_table), node_->addr_);
-      Append(chain, chain->retractor);
+      tail.kind = RuleDriver::Tail::Kind::kRetract;
+      tail.counts = GetSupportCounts(head_table);
+      tail.local_addr = node_->addr_;
       explain_ += pad_ + "project " + rule.head.name + " -> retract-count (local)\n";
     } else if (rule.delete_head) {
       Table* table = FindTable(rule.head.name);
@@ -863,21 +858,22 @@ class PlanBuilder {
         *err = "delete head on non-materialized relation '" + rule.head.name + "'";
         return false;
       }
-      Append(chain, graph_.Add<DeleteElement>(Gensym("delete:" + rule.head.name), table));
+      tail.kind = RuleDriver::Tail::Kind::kDelete;
+      tail.table = table;
       explain_ += pad_ + "project " + rule.head.name + " -> delete\n";
     } else if (counted && trig == TriggerKind::kDeltaInsert) {
       Table* head_table = FindTable(rule.head.name);
       P2_CHECK(head_table != nullptr);  // counted implies materialized head
-      chain->counter = graph_.Add<SupportCountElement>(Gensym("count:" + rule.head.name),
-                                                       GetSupportCounts(head_table),
-                                                       node_->addr_);
-      Append(chain, chain->counter);
-      graph_.Connect(chain->tail, 0, node_->route_out_, 0);
+      tail.kind = RuleDriver::Tail::Kind::kCountRoute;
+      tail.counts = GetSupportCounts(head_table);
+      tail.local_addr = node_->addr_;
+      tail.route = Router();
       explain_ += pad_ + "project " + rule.head.name + " -> count+route\n";
     } else {
-      graph_.Connect(chain->tail, 0, node_->route_out_, 0);
+      tail.route = Router();
       explain_ += pad_ + "project " + rule.head.name + " -> route\n";
     }
+    chain->driver->SetTail(std::move(tail));
     return true;
   }
 
@@ -913,11 +909,8 @@ class PlanBuilder {
   }
 
   // Step 5 of rule planning: connects the rule driver to its event source.
-  // Runs after the chain is built, so a counted chain's listener can take
-  // the chain's support-count element.
   bool WireEvent(const RuleAst& rule, const PredicateAst& event, TriggerKind trig,
-                 const Chain& chain, std::string* err) {
-    RuleDriver* driver = chain.driver;
+                 bool counted, RuleDriver* driver, std::string* err) {
     if (trig == TriggerKind::kPeriodic) {
       double period = 0;
       uint64_t count = 0;
@@ -945,30 +938,26 @@ class PlanBuilder {
     } else if (trig == TriggerKind::kDeltaInsert) {
       Table* table = FindTable(event.name);
       P2_CHECK(table != nullptr);
-      if (SupportCountElement* counter = chain.counter) {
+      if (counted) {
         // Counting listener: a genuinely new body row (insert, or replace
         // that changed content) derives NEW supports; a TTL refresh of an
         // identical row re-derives the head — the refresh must propagate —
-        // without touching counts. The mode is save/restored around the
-        // synchronous push so re-entrant deltas nest correctly.
-        table->AddTypedListener([driver, counter](const TableDelta& d) {
+        // without touching counts. The strand keeps the mode per fire, so
+        // re-entrant deltas nest correctly.
+        table->AddTypedListener([driver](const TableDelta& d) {
           if (d.kind == TableDelta::Kind::kRemove) {
             return;
           }
           bool fresh = d.kind == TableDelta::Kind::kInsert ||
                        (d.old_tuple != nullptr && !d.old_tuple->SameAs(*d.tuple));
-          bool saved = counter->counting();
-          counter->set_counting(fresh);
-          driver->Push(0, d.tuple, nullptr);
-          counter->set_counting(saved);
+          driver->Fire(d.tuple, /*ttl=*/!fresh);
         });
       } else {
-        table->AddDeltaListener([driver](const TuplePtr& t) { driver->Push(0, t, nullptr); });
+        table->AddDeltaListener([driver](const TuplePtr& t) { driver->Fire(t, /*ttl=*/false); });
       }
     } else if (trig == TriggerKind::kDeltaRemove) {
       Table* table = FindTable(event.name);
-      CountedRetractElement* retractor = chain.retractor;
-      P2_CHECK(table != nullptr && retractor != nullptr);
+      P2_CHECK(table != nullptr && counted);
       // Counting remove listener. Three retraction sources: real removals
       // (delete/eviction) retract-and-delete-at-zero; a replace that changed
       // content retracts the OLD row's derivations (the insert listener,
@@ -976,22 +965,13 @@ class PlanBuilder {
       // a row passing through the same key never dips to zero transiently);
       // TTL expiry decrements WITHOUT deleting, so counts track live
       // supports exactly while expiry stays non-retracting.
-      table->AddTypedListener([driver, retractor](const TableDelta& d) {
-        TuplePtr gone;
-        bool retract = true;
+      table->AddTypedListener([driver](const TableDelta& d) {
         if (d.kind == TableDelta::Kind::kRemove) {
-          gone = d.tuple;
-          retract = d.cause != TableDelta::Cause::kExpiry;
+          driver->Fire(d.tuple, /*ttl=*/d.cause == TableDelta::Cause::kExpiry);
         } else if (d.kind == TableDelta::Kind::kReplace && d.old_tuple != nullptr &&
                    !d.old_tuple->SameAs(*d.tuple)) {
-          gone = d.old_tuple;
-        } else {
-          return;
+          driver->Fire(d.old_tuple, /*ttl=*/false);
         }
-        bool saved = retractor->retracting();
-        retractor->set_retracting(retract);
-        driver->Push(0, gone, nullptr);
-        retractor->set_retracting(saved);
       });
     } else {
       // Stream event: demux -> (shared per-name dup) -> driver.
@@ -1093,16 +1073,19 @@ class PlanBuilder {
     return AppendFilter(std::get<ExprPtr>(term), chain, *env, err);
   }
 
-  // Builds a head-side tap for `pred` when it is watched, or returns null.
-  // `label` is the producing rule's chain label, so watch output attributes
-  // every tuple to the exact rule variant that derived it.
-  WatchTapElement* MaybeHeadTap(const std::string& pred, const std::string& label) {
+  // A head tap for `pred` when it is watched, or an empty function.
+  // `label` is the producing rule's chain label, so watch output
+  // attributes every tuple to the exact rule variant that derived it.
+  HeadFn MaybeHeadTap(const std::string& pred, const std::string& label) {
     if (watched_.count(pred) == 0) {
       return nullptr;
     }
     explain_ += "    watch tap on head " + pred + "\n";
-    return graph_.Add<WatchTapElement>(Gensym("watch:" + pred), node_->executor_,
-                                       node_->addr_, "head", label);
+    Executor* executor = node_->executor_;
+    std::string addr = node_->addr_;
+    return [executor, addr, label](const TuplePtr& t) {
+      obs::EmitWatch(obs::FormatWatchLine(executor->Now(), addr, "head", label, *t));
+    };
   }
 
   const ProgramAst& program_;

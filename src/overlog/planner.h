@@ -6,12 +6,13 @@
 // or a table's delta stream) that runs the remaining body terms as
 // ordered equijoin / anti-join / filter / assignment ops over one binding
 // frame and builds only the head tuple, or folds a per-event aggregate
-// into one — followed by a tail of elements: a watch tap, support counting
-// or retraction, and finally either a table delete or the node's output
-// router, which sends remote tuples over the network and stores or loops
-// back local ones. The paper's graph has one element per operator; here
-// that holds between rules, while inside a rule the operators are the
-// strand's ops (`--explain` lists them as the rule's body lines).
+// into one — and applies the variant's tail to each head itself: an
+// optional watch tap, then support counting or retraction, a table
+// delete, or the node's router, which sends remote tuples over the
+// network and stores or loops back local ones. The paper's graph has one
+// element per operator; here that holds between rules, while inside a
+// rule the operators are the strand's ops and tail (`--explain` lists
+// them as the rule's body lines).
 //
 // Evaluation is semi-naive. A rule whose body is all materialized
 // predicates is rewritten into per-delta variants: one insert-triggered

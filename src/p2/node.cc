@@ -9,23 +9,6 @@
 
 namespace p2 {
 
-// Terminal element of every rule chain: routes head tuples by location
-// specifier — remote tuples are marshaled and sent, local stream tuples
-// loop back into the input queue, local table tuples are inserted.
-class P2Node::RouteOutElement : public Element {
- public:
-  explicit RouteOutElement(P2Node* node) : Element("route_out"), node_(node) {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override {
-    (void)port;
-    (void)cb;
-    node_->RouteTuple(t);
-    return 1;
-  }
-
- private:
-  P2Node* node_;
-};
-
 P2Node::P2Node(P2NodeConfig config)
     : addr_(config.addr.empty() && config.transport != nullptr
                 ? config.transport->local_addr()
@@ -46,12 +29,10 @@ P2Node::P2Node(P2NodeConfig config)
     obs_loopbacks_ = metrics_->GetCounter(obs_lane_, "p2_node_local_loopbacks_total");
     obs_bad_packets_ = metrics_->GetCounter(obs_lane_, "p2_node_bad_packets_total");
   }
-  input_queue_ = graph_.Add<QueueElement>("input_queue", config.input_queue_capacity);
-  driver_ = graph_.Add<TimedPullPush>("driver", executor_, 0.0);
+  input_queue_ =
+      graph_.Add<InputQueue>("input_queue", executor_, config.input_queue_capacity);
   demux_ = graph_.Add<DemuxByName>("demux");
-  route_out_ = graph_.Add<RouteOutElement>(this);
-  graph_.Connect(input_queue_, 0, driver_, 0);
-  graph_.Connect(driver_, 0, demux_, 0);
+  graph_.Connect(input_queue_, 0, demux_, 0);
   transport_->SetReceiver(
       [this](const std::string& from, const std::vector<uint8_t>& bytes) {
         OnPacket(from, bytes);
@@ -97,7 +78,7 @@ void P2Node::Start() {
     return;
   }
   started_ = true;
-  driver_->Start();
+  input_queue_->Start();
   for (PeriodicSource* src : periodics_) {
     src->Start();
   }
@@ -230,7 +211,7 @@ void P2Node::DeliverLocal(const TuplePtr& t) {
       fn(t);
     }
   }
-  input_queue_->Push(0, t, nullptr);
+  input_queue_->Push(0, t);
 }
 
 void P2Node::RouteTuple(const TuplePtr& t) {

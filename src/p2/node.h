@@ -59,7 +59,7 @@ class P2Node {
   // fills *err on parse/plan failure.
   bool Install(const std::string& overlog_text, std::string* err);
 
-  // Begins execution: starts periodic sources and the input-queue driver.
+  // Begins execution: starts periodic sources and the input queue's drain.
   void Start();
   // Halts periodic sources (the node stops generating traffic; it still
   // reacts to nothing further since the caller usually destroys it next).
@@ -113,13 +113,14 @@ class P2Node {
 
   // Delivers a tuple into local processing: watchers, then input queue.
   void DeliverLocal(const TuplePtr& t);
-  // Routes a rule-head tuple by its location specifier (field 0).
+  // Routes a rule-head tuple by its location specifier (field 0): a remote
+  // tuple is marshaled and sent, a local table tuple is inserted, a local
+  // stream tuple loops back into the input queue. Every rule strand and
+  // table aggregate ends here (the planner hands them this as their route).
   void RouteTuple(const TuplePtr& t);
   void OnPacket(const std::string& from, const std::vector<uint8_t>& bytes);
   // Upserts this node's rows in the sysstats table (virtual-time periodic).
   void RefreshSysstats();
-
-  class RouteOutElement;
 
   std::string addr_;
   Executor* executor_;
@@ -137,10 +138,8 @@ class P2Node {
   // DeliverLocal): no string hashing per tuple.
   std::vector<Table*> tables_by_schema_;
   std::vector<std::vector<TupleFn>> watchers_by_schema_;
-  QueueElement* input_queue_ = nullptr;
-  TimedPullPush* driver_ = nullptr;
+  InputQueue* input_queue_ = nullptr;
   DemuxByName* demux_ = nullptr;
-  Element* route_out_ = nullptr;  // RouteOutElement
 
   std::vector<PeriodicSource*> periodics_;
   std::unordered_map<std::string, DupElement*> event_dups_;

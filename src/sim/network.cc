@@ -43,7 +43,7 @@ std::unique_ptr<SimTransport> SimNetwork::MakeTransport(const std::string& addr,
   size_t shard = ShardOf(topo_index);
   // Ordinal and RNG seed are drawn in registration order, which the
   // coordinator drives deterministically — so an endpoint incarnation gets
-  // the same identity and loss/jitter stream at any shard count.
+  // the same identity and loss stream at any shard count.
   auto t = std::unique_ptr<SimTransport>(
       new SimTransport(this, addr, topo_index, shard, next_ordinal_++, rng_.NextU64()));
   endpoints_[addr] = Endpoint{t.get(), topo_index, shard};
@@ -74,7 +74,7 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
   double now = loops_[from->shard_]->Now();
   if (faults_ != nullptr) {
     // Fault decisions use the sender's own RNG stream and shard clock, so
-    // they are as shard-count-invariant as the loss/jitter draws above.
+    // they are as shard-count-invariant as the loss draws above.
     size_t sd = topology_.DomainOf(src);
     size_t dd = topology_.DomainOf(dst);
     if (faults_->DropOnSend(now, sd, dd, from->shard_, &from->rng_)) {
@@ -89,10 +89,6 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
     // datagram still lands at or after the conservative sync window.
     latency *= faults_->LatencyFactor(now, topology_.DomainOf(src),
                                       topology_.DomainOf(dst), from->shard_);
-  }
-  double jitter = topology_.config().jitter_fraction;
-  if (jitter > 0) {
-    latency *= 1.0 + jitter * (2.0 * from->rng_.NextDouble() - 1.0);
   }
   SimDelivery d;
   d.at = now + latency;

@@ -11,7 +11,7 @@
 // ends.
 //
 // Determinism is independent of the shard count:
-//  - loss and jitter draw from a per-endpoint RNG stream, so the coin
+//  - loss draws from a per-endpoint RNG stream, so the coin
 //    flips a node's sends consume depend only on that node's own history,
 //    never on how other nodes' events interleave globally;
 //  - every datagram carries a (send-time, source-ordinal, sequence) key
@@ -38,7 +38,7 @@ class FaultInjector;
 class SimTransport;
 
 // The shared fabric: owns the address registry and delivers datagrams with
-// topology-derived latency (+ optional jitter and loss). Endpoints are
+// topology-derived latency (+ optional loss). Endpoints are
 // SimTransport objects created via MakeTransport.
 //
 // Threading contract: MakeTransport / Unregister / set_loss_rate run on
@@ -144,7 +144,7 @@ class SimTransport : public Transport {
   size_t shard_;
   uint64_t ordinal_;  // unique per endpoint incarnation: the delivery key
   uint64_t send_seq_ = 0;
-  Rng rng_;  // this endpoint's private loss/jitter stream
+  Rng rng_;  // this endpoint's private loss (and fault) stream
   ReceiveFn receiver_;
   TrafficStats stats_;
 };

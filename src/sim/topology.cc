@@ -13,12 +13,7 @@ double Topology::LatencyBetween(size_t a, size_t b) const {
 }
 
 double Topology::MinCrossDomainLatency() const {
-  double base = 2.0 * config_.intra_domain_latency_s + config_.inter_domain_latency_s;
-  double jitter = config_.jitter_fraction;
-  if (jitter > 0 && jitter < 1) {
-    base *= 1.0 - jitter;
-  }
-  return base;
+  return 2.0 * config_.intra_domain_latency_s + config_.inter_domain_latency_s;
 }
 
 double Topology::SerializationDelay(size_t a, size_t b, size_t bytes) const {

@@ -16,9 +16,6 @@ struct TopologyConfig {
   double inter_domain_latency_s = 0.100;  // router <-> router
   double stub_capacity_bps = 10e6;        // 10 Mb/s access links
   double router_capacity_bps = 100e6;     // 100 Mb/s inter-domain links
-  // Optional latency jitter fraction (uniform +/- jitter * latency) applied
-  // by the network layer; 0 disables.
-  double jitter_fraction = 0.0;
 };
 
 // Maps simulator node indices onto the transit-stub graph and answers
@@ -39,8 +36,7 @@ class Topology {
   double SerializationDelay(size_t a, size_t b, size_t bytes) const;
 
   // Smallest possible end-to-end latency between two nodes in *different*
-  // domains: intra + inter + intra, shrunk by the worst-case downward
-  // jitter. The sharded simulator partitions nodes so that distinct shards
+  // domains: intra + inter + intra. The sharded simulator partitions nodes so that distinct shards
   // never share a domain, making this the conservative-synchronization
   // window: any cross-shard datagram sent at time t arrives at or after
   // t + MinCrossDomainLatency().

@@ -258,11 +258,6 @@ void Table::AddIndex(const std::vector<size_t>& cols) {
   }
   idx.distinct = idx.map.size();
   secondary_.push_back(std::move(idx));
-  // Any scan statistics for this column set are moot now.
-  scan_stats_.erase(
-      std::remove_if(scan_stats_.begin(), scan_stats_.end(),
-                     [&cols](const ScanStat& s) { return s.cols == cols; }),
-      scan_stats_.end());
 }
 
 const Table::SecondaryIndex* Table::FindIndex(const std::vector<size_t>& cols) const {
@@ -322,45 +317,16 @@ bool Table::HasIndex(const std::vector<size_t>& cols) const {
 std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
                                           const std::vector<Value>& vals) {
   PurgeExpired();
+  const SecondaryIndex* idx = FindIndex(cols);
+  P2_CHECK(idx != nullptr);
   std::vector<TuplePtr> out;
-  for (const SecondaryIndex& idx : secondary_) {
-    if (idx.cols != cols) {
-      continue;
-    }
-    auto bucket = idx.map.find(vals);
-    if (bucket == idx.map.end()) {
-      return out;
-    }
-    out.reserve(bucket->second.size());
-    for (RowList::iterator row : bucket->second) {
-      out.push_back(row->tuple);
-    }
+  auto bucket = idx->map.find(vals);
+  if (bucket == idx->map.end()) {
     return out;
   }
-  // No index: scan, and materialize an index for column sets probed often
-  // (repeated scans are the signature of a join the planner could not
-  // pre-index, e.g. app-level lookups or late-bound key expressions).
-  auto stat = std::find_if(scan_stats_.begin(), scan_stats_.end(),
-                           [&cols](const ScanStat& s) { return s.cols == cols; });
-  if (stat == scan_stats_.end()) {
-    scan_stats_.push_back(ScanStat{cols, 0});
-    stat = std::prev(scan_stats_.end());
-  }
-  if (++stat->scans >= kAutoIndexScans) {
-    AddIndex(cols);
-    return LookupByCols(cols, vals);
-  }
-  for (const Row& row : rows_) {
-    bool match = true;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] >= row.tuple->size() || row.tuple->field(cols[i]) != vals[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      out.push_back(row.tuple);
-    }
+  out.reserve(bucket->second.size());
+  for (RowList::iterator row : bucket->second) {
+    out.push_back(row->tuple);
   }
   return out;
 }

@@ -13,9 +13,9 @@
 // table, so timer pressure does not scale with row count.
 //
 // All index structures are hash-based over the Values' cached hashes:
-// primary lookups, secondary probes and refreshes are O(1) per row.
-// LookupByCols auto-materializes a secondary index for any column set it
-// is asked to scan for repeatedly.
+// primary lookups, secondary probes and refreshes are O(1) per row. Every
+// probe runs on a secondary index its user declared up front (the planner
+// declares one per join at plan time).
 //
 // Tables are node-local; partitioning across nodes is expressed by OverLog
 // location specifiers, not by the table layer.
@@ -110,10 +110,8 @@ class Table {
   void AddIndex(const std::vector<size_t>& cols);
   bool HasIndex(const std::vector<size_t>& cols) const;
 
-  // All rows whose `cols` fields equal `vals`. Uses a secondary index when
-  // one exists, otherwise scans — and materializes an index automatically
-  // once the same column set has been scanned kAutoIndexScans times.
-  // Purges expired rows first.
+  // All rows whose `cols` fields equal `vals`, through the index over
+  // `cols`, which must exist (AddIndex). Purges expired rows first.
   std::vector<TuplePtr> LookupByCols(const std::vector<size_t>& cols,
                                      const std::vector<Value>& vals);
 
@@ -189,9 +187,6 @@ class Table {
   // table="<name>". Called by P2Node::AddTable when metrics are enabled.
   void BindObs(obs::Registry* registry, size_t lane);
 
-  // Scans of one column set before LookupByCols materializes an index.
-  static constexpr int kAutoIndexScans = 3;
-
  private:
   struct Row {
     TuplePtr tuple;
@@ -235,12 +230,6 @@ class Table {
   // Flat: tables carry at most a handful of indices, and probing a vector
   // by column-set equality beats a map keyed on stringified signatures.
   std::vector<SecondaryIndex> secondary_;
-  // Unindexed column sets seen by LookupByCols, with scan counts.
-  struct ScanStat {
-    std::vector<size_t> cols;
-    int scans = 0;
-  };
-  std::vector<ScanStat> scan_stats_;
   std::vector<TypedDeltaFn> typed_listeners_;
   TimerId expiry_timer_ = kInvalidTimer;
   double expiry_armed_at_ = std::numeric_limits<double>::infinity();

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "src/dataflow/basic_elements.h"
 #include "src/dataflow/graph.h"
 #include "src/dataflow/rel_elements.h"
 #include "src/sim/event_loop.h"
+#include "src/table/support_counts.h"
 
 namespace p2 {
 namespace {
@@ -42,72 +44,131 @@ class ElementsTest : public ::testing::Test {
     return graph_.Add<CallbackSink>("sink", [out](const TuplePtr& t) { out->push_back(t); });
   }
 
+  // A route tail collecting every head the strand emits.
+  static void RouteTo(RuleDriver* s, std::vector<TuplePtr>* out) {
+    RuleDriver::Tail tail;
+    tail.route = [out](const TuplePtr& t) { out->push_back(t); };
+    s->SetTail(std::move(tail));
+  }
+
   SimEventLoop loop_;
   Rng rng_;
   std::string addr_;
   Graph graph_;
 };
 
-TEST_F(ElementsTest, QueueFifoAndBlockingSignals) {
-  auto* q = graph_.Add<QueueElement>("q", 2);
-  bool puller_woken = false;
-  EXPECT_EQ(q->Pull(0, [&]() { puller_woken = true; }), nullptr);
-  // Push wakes the blocked puller.
-  EXPECT_EQ(q->Push(0, T("a", {}), nullptr), 1);
-  EXPECT_TRUE(puller_woken);
-  // Fill to capacity: push returns 0 (congested) but accepts the tuple.
-  bool pusher_woken = false;
-  EXPECT_EQ(q->Push(0, T("b", {}), [&]() { pusher_woken = true; }), 0);
-  EXPECT_EQ(q->size(), 2u);
-  // Draining wakes the blocked pusher; FIFO order.
-  TuplePtr first = q->Pull(0, nullptr);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->name(), "a");
-  EXPECT_TRUE(pusher_woken);
-  EXPECT_EQ(q->Pull(0, nullptr)->name(), "b");
+// --- Input queue ------------------------------------------------------------
+
+// Records every batch pushed into it; `on_batch` runs after each.
+class BatchSink : public Element {
+ public:
+  BatchSink() : Element("batches") {}
+  void Push(int port, const TuplePtr& t) override { PushMany(port, {t}); }
+  void PushMany(int port, const std::vector<TuplePtr>& ts) override {
+    (void)port;
+    batches.push_back(ts);
+    if (on_batch) {
+      on_batch();
+    }
+  }
+  std::vector<std::vector<TuplePtr>> batches;
+  std::function<void()> on_batch;
+};
+
+class InputQueueTest : public ElementsTest {
+ protected:
+  InputQueue* Queue(size_t capacity) {
+    auto* q = graph_.Add<InputQueue>("input_queue", &loop_, capacity);
+    graph_.Connect(q, 0, &sink_, 0);
+    return q;
+  }
+  std::vector<size_t> BatchSizes() const {
+    std::vector<size_t> sizes;
+    for (const auto& b : sink_.batches) {
+      sizes.push_back(b.size());
+    }
+    return sizes;
+  }
+
+  BatchSink sink_;
+};
+
+TEST_F(InputQueueTest, DrainsInFifoBatchesOneEventEach) {
+  InputQueue* q = Queue(1000);
+  for (int i = 0; i < 200; ++i) {
+    q->Push(0, T("t", {Value::Int(i)}));
+  }
+  EXPECT_EQ(loop_.pending(), 0u);  // nothing drains before Start
+  q->Start();
+  loop_.RunAll();
+  // Full batches re-arm; the short fourth one empties the queue and parks.
+  EXPECT_EQ(BatchSizes(), (std::vector<size_t>{64, 64, 64, 8}));
+  EXPECT_EQ(loop_.events_run(), 4u);
+  int64_t next = 0;
+  for (const auto& batch : sink_.batches) {
+    for (const TuplePtr& t : batch) {
+      EXPECT_EQ(t->field(0).AsInt(), next++);
+    }
+  }
+  EXPECT_EQ(next, 200);
+  EXPECT_EQ(q->size(), 0u);
 }
 
-TEST_F(ElementsTest, QueueShedsOldestWhenOverCapacity) {
-  auto* q = graph_.Add<QueueElement>("q", 1);
-  q->Push(0, T("a", {}), nullptr);
-  q->Push(0, T("b", {}), nullptr);
-  EXPECT_EQ(q->dropped(), 1u);
-  EXPECT_EQ(q->Pull(0, nullptr)->name(), "b");
+TEST_F(InputQueueTest, FullLastBatchTakesOneEmptyDrain) {
+  InputQueue* q = Queue(1000);
+  for (int i = 0; i < 128; ++i) {
+    q->Push(0, T("t", {Value::Int(i)}));
+  }
+  q->Start();
+  loop_.RunAll();
+  // The second full batch cannot know the queue is empty, so a third
+  // drain runs, finds nothing and parks.
+  EXPECT_EQ(BatchSizes(), (std::vector<size_t>{64, 64}));
+  EXPECT_EQ(loop_.events_run(), 3u);
+  // Parked: a later push schedules exactly one more drain.
+  q->Push(0, T("t", {Value::Int(128)}));
+  loop_.RunAll();
+  EXPECT_EQ(BatchSizes(), (std::vector<size_t>{64, 64, 1}));
+  EXPECT_EQ(loop_.events_run(), 4u);
 }
 
-TEST_F(ElementsTest, TimedPullPushDrainsQueue) {
-  auto* q = graph_.Add<QueueElement>("q", 100);
-  auto* driver = graph_.Add<TimedPullPush>("drv", &loop_, 0.0);
-  std::vector<TuplePtr> out;
-  graph_.Connect(q, 0, driver, 0);
-  graph_.Connect(driver, 0, Sink(&out), 0);
+TEST_F(InputQueueTest, PushDuringABatchThatEmptiedTheQueueSchedulesTheNextDrain) {
+  InputQueue* q = Queue(1000);
+  // The first batch loops one tuple back, as a local stream head routed
+  // back into the node does while the batch is still running.
+  sink_.on_batch = [&]() {
+    if (sink_.batches.size() == 1) {
+      q->Push(0, T("t", {Value::Int(99)}));
+    }
+  };
   for (int i = 0; i < 5; ++i) {
-    q->Push(0, T("t", {Value::Int(i)}), nullptr);
+    q->Push(0, T("t", {Value::Int(i)}));
   }
-  driver->Start();
-  loop_.RunUntil(1.0);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[0]->field(0).AsInt(), 0);
-  EXPECT_EQ(out[4]->field(0).AsInt(), 4);
-  // Tuples arriving later re-wake the driver through the pull callback.
-  q->Push(0, T("t", {Value::Int(9)}), nullptr);
-  loop_.RunUntil(2.0);
-  EXPECT_EQ(out.size(), 6u);
+  q->Start();
+  loop_.RunAll();
+  ASSERT_EQ(BatchSizes(), (std::vector<size_t>{5, 1}));
+  EXPECT_EQ(sink_.batches[1][0]->field(0).AsInt(), 99);
+  EXPECT_EQ(loop_.events_run(), 2u);
 }
 
-TEST_F(ElementsTest, TimedPullPushRateLimited) {
-  auto* q = graph_.Add<QueueElement>("q", 100);
-  auto* driver = graph_.Add<TimedPullPush>("drv", &loop_, 1.0);
-  std::vector<TuplePtr> out;
-  graph_.Connect(q, 0, driver, 0);
-  graph_.Connect(driver, 0, Sink(&out), 0);
-  for (int i = 0; i < 10; ++i) {
-    q->Push(0, T("t", {}), nullptr);
+TEST_F(InputQueueTest, OverflowShedsTheOldestTuple) {
+  InputQueue* q = Queue(3);
+  for (const char* name : {"a", "b", "c", "d"}) {
+    q->Push(0, T(name, {}));
   }
-  driver->Start();
-  loop_.RunUntil(3.5);  // ticks at 1,2,3
-  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(q->dropped(), 1u);
+  EXPECT_EQ(q->size(), 3u);
+  q->Start();
+  loop_.RunAll();
+  ASSERT_EQ(sink_.batches.size(), 1u);
+  std::vector<std::string> names;
+  for (const TuplePtr& t : sink_.batches[0]) {
+    names.push_back(t->name());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"b", "c", "d"}));
 }
+
+// --- Glue elements -----------------------------------------------------------
 
 TEST_F(ElementsTest, DemuxRoutesByName) {
   auto* demux = graph_.Add<DemuxByName>("demux");
@@ -115,9 +176,9 @@ TEST_F(ElementsTest, DemuxRoutesByName) {
   std::vector<TuplePtr> b;
   graph_.Connect(demux, demux->PortFor("alpha"), Sink(&a), 0);
   graph_.Connect(demux, demux->PortFor("beta"), Sink(&b), 0);
-  demux->Push(0, T("alpha", {}), nullptr);
-  demux->Push(0, T("beta", {}), nullptr);
-  demux->Push(0, T("gamma", {}), nullptr);  // unroutable
+  demux->Push(0, T("alpha", {}));
+  demux->Push(0, T("beta", {}));
+  demux->Push(0, T("gamma", {}));  // unroutable
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 1u);
   EXPECT_EQ(demux->unroutable(), 1u);
@@ -137,7 +198,7 @@ TEST_F(ElementsTest, DemuxPushManyPartitionsByPortInOrder) {
   std::vector<TuplePtr> batch{T("alpha", {Value::Int(1)}), T("beta", {Value::Int(2)}),
                               T("alpha", {Value::Int(3)}), T("gamma", {Value::Int(4)}),
                               T("beta", {Value::Int(5)})};
-  EXPECT_EQ(demux->PushMany(0, batch, nullptr), 1);
+  demux->PushMany(0, batch);
   ASSERT_EQ(a.size(), 2u);
   EXPECT_EQ(a[0]->field(0).AsInt(), 1);  // intra-name order preserved
   EXPECT_EQ(a[1]->field(0).AsInt(), 3);
@@ -155,7 +216,7 @@ TEST_F(ElementsTest, DupFansOutToAllOutputs) {
   std::vector<TuplePtr> b;
   graph_.Connect(dup, 0, Sink(&a), 0);
   graph_.Connect(dup, 1, Sink(&b), 0);
-  dup->Push(0, T("t", {}), nullptr);
+  dup->Push(0, T("t", {}));
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].get(), b[0].get());  // same shared tuple, no copy
@@ -210,9 +271,9 @@ TEST_F(ElementsTest, StrandFilterDropsFalse) {
   f->AddFilter(std::move(prog));
   f->SetHead("t", Slots(1));
   std::vector<TuplePtr> out;
-  graph_.Connect(f, 0, Sink(&out), 0);
-  f->Push(0, T("t", {Value::Int(3)}), nullptr);
-  f->Push(0, T("t", {Value::Int(7)}), nullptr);
+  RouteTo(f, &out);
+  f->Push(0, T("t", {Value::Int(3)}));
+  f->Push(0, T("t", {Value::Int(7)}));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->field(0).AsInt(), 7);
   EXPECT_EQ(f->fires(), 2u);  // a filtered fire still counts as a fire
@@ -227,8 +288,8 @@ TEST_F(ElementsTest, StrandAssignAppendsComputedField) {
   e->AddAssign(std::move(prog));
   e->SetHead("t", Slots(2));  // the assigned value is frame slot 1
   std::vector<TuplePtr> out;
-  graph_.Connect(e, 0, Sink(&out), 0);
-  e->Push(0, T("t", {Value::Int(41)}), nullptr);
+  RouteTo(e, &out);
+  e->Push(0, T("t", {Value::Int(41)}));
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0]->size(), 2u);
   EXPECT_EQ(out[0]->field(1).AsInt(), 42);
@@ -241,8 +302,8 @@ TEST_F(ElementsTest, StrandHeadProjectsFields) {
   auto* p = graph_.Add<RuleDriver>("rule:p", Env());
   p->SetHead("head", std::move(programs));
   std::vector<TuplePtr> out;
-  graph_.Connect(p, 0, Sink(&out), 0);
-  p->Push(0, T("t", {Value::Int(1), Value::Int(2)}), nullptr);
+  RouteTo(p, &out);
+  p->Push(0, T("t", {Value::Int(1), Value::Int(2)}));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->name(), "head");
   EXPECT_EQ(out[0]->field(0).AsInt(), 2);
@@ -261,8 +322,8 @@ TEST_F(ElementsTest, StrandJoinBindsEachMatch) {
   join->AddJoin(&table, KeyOn(0, 0));  // event field 0 == table col 0
   join->SetHead("j", Slots(4));        // the whole frame: event, then row
   std::vector<TuplePtr> out;
-  graph_.Connect(join, 0, Sink(&out), 0);
-  join->Push(0, T("ev", {Value::Int(1), Value::Int(99)}), nullptr);
+  RouteTo(join, &out);
+  join->Push(0, T("ev", {Value::Int(1), Value::Int(99)}));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0]->name(), "j");
   EXPECT_EQ(out[0]->size(), 4u);  // 2 event + 2 table fields
@@ -285,9 +346,9 @@ TEST_F(ElementsTest, StrandAntiJoinPassesOnlyWhenNoMatch) {
   aj->AddAntiJoin(&table, KeyOn(0, 0));
   aj->SetHead("ev", Slots(1));
   std::vector<TuplePtr> out;
-  graph_.Connect(aj, 0, Sink(&out), 0);
-  aj->Push(0, T("ev", {Value::Int(1)}), nullptr);  // match exists: blocked
-  aj->Push(0, T("ev", {Value::Int(2)}), nullptr);  // no match: passes
+  RouteTo(aj, &out);
+  aj->Push(0, T("ev", {Value::Int(1)}));  // match exists: blocked
+  aj->Push(0, T("ev", {Value::Int(2)}));  // no match: passes
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->field(0).AsInt(), 2);
 }
@@ -318,8 +379,8 @@ TEST_F(ElementsTest, StrandNestedJoinsBacktrackOverOneFrame) {
   head[1].Emit(PelOp::kPushField, 4);
   s->SetHead("h", std::move(head));
   std::vector<TuplePtr> out;
-  graph_.Connect(s, 0, Sink(&out), 0);
-  s->Push(0, T("ev", {Value::Int(1)}), nullptr);
+  RouteTo(s, &out);
+  s->Push(0, T("ev", {Value::Int(1)}));
   std::vector<std::string> got;
   for (const TuplePtr& t : out) {
     got.push_back(t->ToString());
@@ -352,7 +413,7 @@ class StrandAggregateTest : public ElementsTest {
     head[1].Emit(PelOp::kPushField, 3);
     s->SetHead("out", std::move(head));
     s->SetAggregate(kind, 1, std::move(empty_fields));
-    graph_.Connect(s, 0, Sink(out), 0);
+    RouteTo(s, out);
     return s;
   }
 
@@ -370,14 +431,14 @@ TEST_F(StrandAggregateTest, MinSelectsTheWinningBinding) {
   Add("g", "d", 3);  // ties the best: the first best stays
   std::vector<TuplePtr> out;
   RuleDriver* s = Strand(AggKind::kMin, false, {}, &out);
-  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
+  s->Push(0, T("ev", {Value::Str("g")}));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->name(), "out");
   // min selection carries the winner's other fields.
   EXPECT_EQ(out[0]->field(0).AsStr(), "a");
   EXPECT_EQ(out[0]->field(1).AsInt(), 3);
   // No binding: min emits nothing.
-  s->Push(0, T("ev", {Value::Str("none")}), nullptr);
+  s->Push(0, T("ev", {Value::Str("none")}));
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -389,9 +450,9 @@ TEST_F(StrandAggregateTest, CountAndEmptyEmission) {
   std::vector<TuplePtr> out;
   RuleDriver* s = Strand(AggKind::kCount, true, std::move(empty_fields), &out);
   // Two bindings -> count 2.
-  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
+  s->Push(0, T("ev", {Value::Str("g")}));
   // No binding -> count 0 via the event-derived fields.
-  s->Push(0, T("ev", {Value::Str("h")}), nullptr);
+  s->Push(0, T("ev", {Value::Str("h")}));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0]->field(0).AsStr(), "g");
   EXPECT_EQ(out[0]->field(1).AsInt(), 2);
@@ -405,7 +466,7 @@ TEST_F(StrandAggregateTest, SumAccumulatesEveryBinding) {
   }
   std::vector<TuplePtr> out;
   RuleDriver* s = Strand(AggKind::kSum, true, {}, &out);
-  s->Push(0, T("ev", {Value::Str("g")}), nullptr);
+  s->Push(0, T("ev", {Value::Str("g")}));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0]->field(1).AsInt(), 10);
 }
@@ -416,26 +477,146 @@ TEST_F(ElementsTest, AggregateStrandEmitsOncePerFire) {
   driver->SetHead("pre", Slots(1));
   driver->SetAggregate(AggKind::kMax, 0, {});
   std::vector<TuplePtr> out;
-  graph_.Connect(driver, 0, Sink(&out), 0);
-  driver->Push(0, T("pre", {Value::Int(5)}), nullptr);
-  driver->Push(0, T("pre", {Value::Int(2)}), nullptr);
+  RouteTo(driver, &out);
+  driver->Push(0, T("pre", {Value::Int(5)}));
+  driver->Push(0, T("pre", {Value::Int(2)}));
   EXPECT_EQ(driver->fires(), 2u);
   ASSERT_EQ(out.size(), 2u);  // one result at the end of each fire
   EXPECT_EQ(out[0]->field(0).AsInt(), 5);
   EXPECT_EQ(out[1]->field(0).AsInt(), 2);
 }
 
-TEST_F(ElementsTest, InsertAndDeleteElements) {
+TEST_F(ElementsTest, InsertElementStoresAndDeleteTailRemovesByKey) {
   TableSpec spec;
   spec.name = "t";
   spec.key_positions = {0};
   Table table(spec, &loop_);
   auto* ins = graph_.Add<InsertElement>("ins", &table);
-  auto* del = graph_.Add<DeleteElement>("del", &table);
-  ins->Push(0, T("t", {Value::Int(1), Value::Int(2)}), nullptr);
+  ins->Push(0, T("t", {Value::Int(1), Value::Int(2)}));
   EXPECT_EQ(table.size(), 1u);
-  del->Push(0, T("t", {Value::Int(1), Value::Int(999)}), nullptr);
+  // A delete rule's strand removes the row whose key its head carries.
+  auto* del = graph_.Add<RuleDriver>("rule:del", Env());
+  del->SetHead("t", Slots(2));
+  RuleDriver::Tail tail;
+  tail.kind = RuleDriver::Tail::Kind::kDelete;
+  tail.table = &table;
+  del->SetTail(std::move(tail));
+  del->Push(0, T("ev", {Value::Int(1), Value::Int(999)}));
   EXPECT_EQ(table.size(), 0u);
+}
+
+// --- Strand tails ------------------------------------------------------------
+//
+// Counted variants: ev(A, K) joins src(K, V) and derives h(A, V) into a
+// head table keyed on the whole row, whose supports `counts_` tracks.
+class StrandTailTest : public ElementsTest {
+ protected:
+  StrandTailTest() : src_(Spec("src"), &loop_), head_(Spec("h"), &loop_), counts_(&head_) {}
+
+  static TableSpec Spec(const char* name) {
+    TableSpec spec;
+    spec.name = name;
+    return spec;
+  }
+
+  RuleDriver* Strand(RuleDriver::Tail::Kind kind) {
+    auto* s = graph_.Add<RuleDriver>("rule:r", Env());
+    s->AddJoin(&src_, KeyOn(0, 1));
+    std::vector<PelProgram> head(2);
+    head[0].Emit(PelOp::kPushField, 0);
+    head[1].Emit(PelOp::kPushField, 3);
+    s->SetHead("h", std::move(head));
+    RuleDriver::Tail tail;
+    tail.kind = kind;
+    tail.watch = [this](const TuplePtr& t) { log_.push_back("watch " + t->ToString()); };
+    tail.route = [this](const TuplePtr& t) {
+      log_.push_back("route " + t->ToString());
+      if (on_route) {
+        on_route(t);
+      }
+    };
+    tail.counts = &counts_;
+    tail.local_addr = "n0";
+    tail.table = &head_;
+    s->SetTail(std::move(tail));
+    return s;
+  }
+
+  static TuplePtr Ev(const char* addr, int64_t k) {
+    return T("ev", {Value::Addr(addr), Value::Int(k)});
+  }
+  static TuplePtr H(const char* addr, int64_t v) {
+    return T("h", {Value::Addr(addr), Value::Int(v)});
+  }
+  uint64_t Count(const char* addr, int64_t v) const { return counts_.Count(*H(addr, v)); }
+
+  Table src_;
+  Table head_;
+  SupportCounts counts_;
+  std::vector<std::string> log_;
+  std::function<void(const TuplePtr&)> on_route;
+};
+
+TEST_F(StrandTailTest, CountRouteCountsFreshLocalHeadsAndRoutesEveryHead) {
+  src_.Insert(T("src", {Value::Int(1), Value::Int(10)}));
+  RuleDriver* s = Strand(RuleDriver::Tail::Kind::kCountRoute);
+  s->Fire(Ev("n0", 1), /*ttl=*/false);
+  EXPECT_EQ(Count("n0", 10), 1u);
+  // A TTL refresh re-derives and routes the head without a new support.
+  s->Fire(Ev("n0", 1), /*ttl=*/true);
+  EXPECT_EQ(Count("n0", 10), 1u);
+  // A remote head is routed but counted where it is stored.
+  s->Fire(Ev("n9", 1), /*ttl=*/false);
+  EXPECT_EQ(Count("n9", 10), 0u);
+  EXPECT_EQ(log_, (std::vector<std::string>{"watch h(n0, 10)", "route h(n0, 10)",
+                                            "watch h(n0, 10)", "route h(n0, 10)",
+                                            "watch h(n9, 10)", "route h(n9, 10)"}));
+}
+
+TEST_F(StrandTailTest, RetractDeletesAtZeroUnlessTheSupportExpired) {
+  src_.Insert(T("src", {Value::Int(1), Value::Int(10)}));
+  src_.Insert(T("src", {Value::Int(2), Value::Int(20)}));
+  head_.Insert(H("n0", 10));
+  head_.Insert(H("n0", 20));
+  counts_.Inc(*H("n0", 10));
+  counts_.Inc(*H("n0", 10));
+  counts_.Inc(*H("n0", 20));
+  RuleDriver* s = Strand(RuleDriver::Tail::Kind::kRetract);
+  s->Fire(Ev("n0", 1), /*ttl=*/false);  // one of two supports goes
+  EXPECT_EQ(Count("n0", 10), 1u);
+  EXPECT_EQ(head_.size(), 2u);
+  s->Fire(Ev("n0", 1), /*ttl=*/false);  // the last one: the head goes too
+  EXPECT_EQ(head_.size(), 1u);
+  s->Fire(Ev("n0", 2), /*ttl=*/true);  // expired: the head ages out on its own
+  EXPECT_EQ(Count("n0", 20), 0u);
+  EXPECT_EQ(head_.size(), 1u);
+  // Every retracted head passes the watch tap, and none is routed.
+  EXPECT_EQ(log_, (std::vector<std::string>{"watch h(n0, 10)", "watch h(n0, 10)",
+                                            "watch h(n0, 20)"}));
+}
+
+TEST_F(StrandTailTest, EachReentrantFireKeepsItsOwnMode) {
+  // ev(n0, 1) derives h(n0, 10) and h(n0, 20). Routing the first re-fires
+  // the strand as a TTL refresh of ev(n0, 2) before the outer fire builds
+  // its second head, which must still count as a fresh support.
+  src_.Insert(T("src", {Value::Int(1), Value::Int(10)}));
+  src_.Insert(T("src", {Value::Int(1), Value::Int(20)}));
+  src_.Insert(T("src", {Value::Int(2), Value::Int(30)}));
+  RuleDriver* s = Strand(RuleDriver::Tail::Kind::kCountRoute);
+  bool nested = false;
+  on_route = [&](const TuplePtr&) {
+    if (!nested) {
+      nested = true;
+      s->Fire(Ev("n0", 2), /*ttl=*/true);
+    }
+  };
+  s->Fire(Ev("n0", 1), /*ttl=*/false);
+  EXPECT_EQ(log_, (std::vector<std::string>{"watch h(n0, 10)", "route h(n0, 10)",
+                                            "watch h(n0, 30)", "route h(n0, 30)",
+                                            "watch h(n0, 20)", "route h(n0, 20)"}));
+  EXPECT_EQ(Count("n0", 10), 1u);
+  EXPECT_EQ(Count("n0", 30), 0u);
+  EXPECT_EQ(Count("n0", 20), 1u);
 }
 
 TEST_F(ElementsTest, TableAggWatcherEmitsOnChange) {
@@ -446,7 +627,7 @@ TEST_F(ElementsTest, TableAggWatcherEmitsOnChange) {
   auto* watcher = graph_.Add<TableAggWatcher>("w", &table, std::vector<size_t>{0},
                                               AggKind::kMin, 2, "bestSuccDist");
   std::vector<TuplePtr> out;
-  graph_.Connect(watcher, 0, Sink(&out), 0);
+  watcher->SetRoute([&out](const TuplePtr& t) { out.push_back(t); });
   watcher->Attach();
   auto row = [](int64_t s, int64_t d) {
     return Tuple::Make("succDist", {Value::Str("n0"), Value::Int(s), Value::Int(d)});

@@ -360,8 +360,10 @@ TEST_F(AggregateStrandTest, SecondJoinRunsUnderADistinctProbe) {
   }
   int64_t best = std::numeric_limits<int64_t>::max();
   for (const TuplePtr& f : fingers->Scan()) {
-    for (const TuplePtr& p : peers->LookupByCols({1}, {f->field(3)})) {
-      best = std::min(best, 100 - f->field(2).AsInt() - p->field(2).AsInt());
+    for (const TuplePtr& p : peers->Scan()) {
+      if (p->field(1) == f->field(3)) {
+        best = std::min(best, 100 - f->field(2).AsInt() - p->field(2).AsInt());
+      }
     }
   }
   Fire(n.get(), 100);

@@ -268,54 +268,5 @@ TEST_F(SemiNaiveTest, ReentrantDeltasAreQueuedNotDropped) {
   EXPECT_EQ(cnt->field(1).AsInt(), 3);
 }
 
-// --- Backpressure plumbing ------------------------------------------------
-
-// Captures the congestion callback a strand hands downstream.
-class CongestedSink : public Element {
- public:
-  CongestedSink() : Element("congested_sink") {}
-  int Push(int port, const TuplePtr& t, const Callback& cb) override {
-    (void)port;
-    tuples.push_back(t);
-    saw_callback.push_back(cb != nullptr);
-    return 0;  // always congested
-  }
-  std::vector<TuplePtr> tuples;
-  std::vector<bool> saw_callback;
-};
-
-TEST_F(SemiNaiveTest, StrandJoinForwardsBackpressureCallback) {
-  TableSpec spec;
-  spec.name = "t";
-  spec.key_positions = {1};
-  Table table(std::move(spec), &loop_);
-  table.Insert(Tuple::Make("t", {Value::Int(1), Value::Int(10)}));
-  table.Insert(Tuple::Make("t", {Value::Int(1), Value::Int(20)}));
-
-  PelProgram key;  // join on input field 0 == table column 0
-  key.Emit(PelOp::kPushField, 0);
-  std::vector<JoinKey> keys;
-  keys.push_back(JoinKey{0, std::move(key)});
-  RuleDriver join("rule:join", PelEnv{});
-  join.AddJoin(&table, std::move(keys));
-  std::vector<PelProgram> head(3);  // out(event field, row fields)
-  for (uint32_t i = 0; i < 3; ++i) {
-    head[i].Emit(PelOp::kPushField, i);
-  }
-  join.SetHead("out", std::move(head));
-  CongestedSink sink;
-  join.BindOutput(0, &sink, 0);
-
-  bool fired = false;
-  int signal = join.Push(0, Tuple::Make("ev", {Value::Int(1)}), [&]() { fired = true; });
-  EXPECT_EQ(signal, 0);  // congestion propagates upstream
-  ASSERT_EQ(sink.tuples.size(), 2u);
-  // The caller's callback reached the sink with every match; a congested
-  // downstream can actually wake the pusher again.
-  EXPECT_TRUE(sink.saw_callback[0]);
-  EXPECT_TRUE(sink.saw_callback[1]);
-  EXPECT_FALSE(fired);  // the sink owns when to invoke it
-}
-
 }  // namespace
 }  // namespace p2

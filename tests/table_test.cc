@@ -199,32 +199,6 @@ TEST_F(TableTest, LookupDistinctMatchesFirstOccurrencesOfLookupByCols) {
   }
 }
 
-TEST_F(TableTest, LookupWithoutIndexScans) {
-  Table t(Spec(std::numeric_limits<double>::infinity(), 100), &loop_);
-  t.Insert(Row("t", 1, 7));
-  t.Insert(Row("t", 2, 7));
-  t.Insert(Row("t", 3, 8));
-  EXPECT_EQ(t.LookupByCols({1}, {Value::Int(7)}).size(), 2u);
-}
-
-TEST_F(TableTest, RepeatedScansAutoMaterializeAnIndex) {
-  Table t(Spec(std::numeric_limits<double>::infinity(), 100), &loop_);
-  for (int i = 0; i < 10; ++i) {
-    t.Insert(Row("t", i, i % 3));
-  }
-  EXPECT_FALSE(t.HasIndex({1}));
-  for (int probe = 0; probe < Table::kAutoIndexScans; ++probe) {
-    EXPECT_EQ(t.LookupByCols({1}, {Value::Int(0)}).size(), 4u);
-  }
-  // The threshold-th scan built the index; results stay identical and the
-  // index tracks subsequent mutations.
-  EXPECT_TRUE(t.HasIndex({1}));
-  t.Insert(Row("t", 10, 0));
-  EXPECT_EQ(t.LookupByCols({1}, {Value::Int(0)}).size(), 5u);
-  t.DeleteByKey({Value::Int(0)});
-  EXPECT_EQ(t.LookupByCols({1}, {Value::Int(0)}).size(), 4u);
-}
-
 TEST_F(TableTest, ExpiryTimerFiresRemovalListenersWithoutTouches) {
   // Rows must expire (and notify removal listeners) on the executor's
   // clock even when nothing queries the table — table aggregates depend on

@@ -1,9 +1,10 @@
 // OverLog watch(pred) taps: tuple-level tracing spliced into the dataflow
-// (paper §7). The tap output for a small fixed-seed gossip run is pinned
-// byte-for-byte against tests/goldens/watch_gossip.txt — virtual time and
-// seeded RNG make the line stream deterministic. On a deliberate
-// planner/tap change, rerun the test and copy its "actual watch output"
-// dump over the golden.
+// (paper §7). The tap output for a small fixed-seed gossip run and for a
+// path-vector fleet that loses a link is pinned byte-for-byte against
+// tests/goldens/watch_{gossip,pathvector}.txt — virtual time and seeded
+// RNG make the line stream deterministic. On a deliberate planner/tap
+// change, rerun the test and copy its "actual watch output" dump over the
+// golden.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "src/obs/watch.h"
 #include "src/overlays/gossip.h"
+#include "src/overlays/pathvector.h"
 #include "src/p2/node.h"
 #include "src/sim/network.h"
 
@@ -64,16 +66,76 @@ std::string RunWatchedGossip(double run_s) {
   return captured;
 }
 
-TEST(WatchTap, GoldenGossipRun) {
-  std::string actual = RunWatchedGossip(2.5);
-  EXPECT_GT(actual.size(), 0u);
-  std::string expected = ReadGolden("watch_gossip.txt");
+// Three path-vector routers, r0 -1- r1 -1- r2 plus a direct r0 -5- r2
+// link, with bestRoute and bestRouteCost watched on all of them. At t=5
+// the r1-r2 link fails in both directions, so the cheap routes through it
+// age out. The run covers head taps the gossip run has none of: a table
+// aggregate (PV5's bestRouteCost), counted inserts (PV6 and
+// PV6+bestRouteCost) and counted retractions (PV6-route and
+// PV6-bestRouteCost).
+std::string RunWatchedPathVector(double run_s) {
+  std::string captured;
+  obs::SetWatchSink([&captured](const std::string& line) {
+    captured += line;
+    captured += '\n';
+  });
+  {
+    SimEventLoop loop;
+    SimNetwork net(&loop, Topology(TopologyConfig{}), /*seed=*/7);
+    PathVectorConfig pc;
+    pc.advertise_period_s = 1.0;
+    pc.route_lifetime_s = 3.5;
+    const std::vector<std::vector<std::pair<std::string, int64_t>>> links = {
+        {{"r1", 1}, {"r2", 5}}, {{"r0", 1}, {"r2", 1}}, {{"r1", 1}, {"r0", 5}}};
+    std::vector<std::unique_ptr<SimTransport>> transports;
+    std::vector<std::unique_ptr<PathVectorNode>> nodes;
+    for (size_t i = 0; i < links.size(); ++i) {
+      transports.push_back(net.MakeTransport("r" + std::to_string(i), i));
+      P2NodeConfig nc;
+      nc.executor = &loop;
+      nc.transport = transports.back().get();
+      nc.seed = 300 + i;
+      nc.watches = {"bestRoute", "bestRouteCost"};
+      nodes.push_back(std::make_unique<PathVectorNode>(nc, pc, links[i]));
+      nodes.back()->Start();
+    }
+    loop.RunUntil(5.0);
+    nodes[1]->RemoveLink("r2");
+    nodes[2]->RemoveLink("r1");
+    loop.RunUntil(run_s);
+    for (auto& n : nodes) {
+      n->Stop();
+    }
+  }
+  obs::SetWatchSink(nullptr);
+  return captured;
+}
+
+void ExpectGolden(const std::string& actual, const std::string& golden) {
+  std::string expected = ReadGolden(golden);
   if (actual != expected) {
     // Dump the actual stream so a deliberate change can be re-pinned
     // without re-deriving it.
     std::fprintf(stderr, "--- actual watch output ---\n%s--- end ---\n", actual.c_str());
   }
   EXPECT_EQ(actual, expected);
+}
+
+TEST(WatchTap, GoldenGossipRun) {
+  std::string actual = RunWatchedGossip(2.5);
+  EXPECT_GT(actual.size(), 0u);
+  ExpectGolden(actual, "watch_gossip.txt");
+}
+
+TEST(WatchTap, GoldenPathVectorRunTapsAggregatesCountsAndRetractions) {
+  std::string actual = RunWatchedPathVector(12.0);
+  for (const char* label : {"PV5", "PV6", "PV6+bestRouteCost"}) {
+    EXPECT_NE(actual.find(std::string("point=head label=") + label + " "), std::string::npos)
+        << label;
+  }
+  EXPECT_TRUE(actual.find("point=head label=PV6-route ") != std::string::npos ||
+              actual.find("point=head label=PV6-bestRouteCost ") != std::string::npos);
+  ExpectGolden(actual, "watch_pathvector.txt");
 }
 
 TEST(WatchTap, DeterministicAcrossRuns) {
