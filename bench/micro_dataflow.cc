@@ -2,11 +2,11 @@
 // quantifies in §3.3 ("most [transitions] take about 50 machine
 // instructions on an ia32 processor, or 75 if the callback is invoked").
 //
-// Measured here: element push handoff, PEL dispatch, stream×table
-// equijoin probes through a rule strand, a min strand's distinct probe
-// and fold, table insertion, tuple
-// marshaling, the datagram path (framing, checksum, delivery lane), and
-// end-to-end rule firing through a compiled OverLog rule.
+// Measured here: tuple construction, element push handoff, PEL dispatch,
+// stream×table equijoin probes through a rule strand, a min strand's
+// distinct probe and fold, table insertion, replacement and probes,
+// tuple marshaling, the datagram path (framing, checksum, delivery
+// lane), and end-to-end rule firing through a compiled OverLog rule.
 #include <benchmark/benchmark.h>
 
 #include "src/dataflow/basic_elements.h"
@@ -57,11 +57,36 @@ BENCHMARK(BM_ValueCopyShared);
 void BM_TupleFieldsCopy(benchmark::State& state) {
   TuplePtr t = BenchTuple();
   for (auto _ : state) {
-    std::vector<Value> fields = t->fields();
+    std::vector<Value> fields = t->fields().ToVector();
     benchmark::DoNotOptimize(fields);
   }
 }
 BENCHMARK(BM_TupleFieldsCopy);
+
+// Building a 4-field tuple. Arg(0) gathers the fields in a vector first
+// and hands it to Tuple::Make: two allocations. Arg(1) writes them
+// straight into the tuple's block with Tuple::Build, as rule heads, table
+// aggregates and the decoder do: one.
+void BM_TupleBuild(benchmark::State& state) {
+  const SchemaId schema = InternSchema("lookup");
+  const Value a = Value::Addr("n0");
+  const Value key = Value::Id(Uint160::HashOf("key"));
+  const Value b = Value::Addr("n1");
+  const Value e = Value::Int(42);
+  const bool in_place = state.range(0) == 1;
+  for (auto _ : state) {
+    TuplePtr t = in_place ? Tuple::Build(schema, 4,
+                                         [&](Value* f) {
+                                           f[0] = a;
+                                           f[1] = key;
+                                           f[2] = b;
+                                           f[3] = e;
+                                         })
+                          : Tuple::Make(schema, {a, key, b, e});
+    benchmark::DoNotOptimize(t.get());
+  }
+}
+BENCHMARK(BM_TupleBuild)->Arg(0)->Arg(1);
 
 // --- Element handoff ---
 
@@ -221,25 +246,66 @@ void BM_MinStrandRepeatedProjections(benchmark::State& state) {
 }
 BENCHMARK(BM_MinStrandRepeatedProjections)->Arg(0)->Arg(1);
 
-void BM_TableIndexedLookup(benchmark::State& state) {
+// An indexed probe of a 256-row table into a reused buffer, as a rule
+// strand's join probes: the key is hashed and compared in place against
+// the bucket's own row, and `Arg` rows match (the bucket size).
+void BM_TableProbe(benchmark::State& state) {
   SimEventLoop loop;
   TableSpec spec;
   spec.name = "member";
   spec.key_positions = {0};
   Table table(spec, &loop);
   table.AddIndex({1});
-  const int64_t rows = state.range(0);
-  for (int64_t i = 0; i < rows; ++i) {
+  const int64_t buckets = 256 / state.range(0);
+  for (int64_t i = 0; i < 256; ++i) {
     table.Insert(Tuple::Make(
-        "member", {Value::Int(i), Value::Addr("n" + std::to_string(i % 16)),
+        "member", {Value::Int(i), Value::Addr("n" + std::to_string(i % buckets)),
                    Value::Id(Uint160::HashOf(std::to_string(i)))}));
   }
   std::vector<Value> probe{Value::Addr("n7")};
+  const std::vector<size_t> cols{1};
+  std::vector<TuplePtr> hits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.LookupByCols({1}, probe));
+    table.LookupByCols(cols, probe, &hits);
+    benchmark::DoNotOptimize(hits.data());
   }
 }
-BENCHMARK(BM_TableIndexedLookup)->Arg(256);
+BENCHMARK(BM_TableProbe)->Arg(1)->Arg(16);
+
+// Replace by primary key under two secondary indices: every insert
+// changes a non-key field and moves its row to another bucket of both
+// indices, as a refreshed route with a new next hop does. Keys are read
+// in place, so an insert allocates nothing (tests/alloc_test.cc pins
+// it); one item is one insert.
+void BM_TableReplaceByKey(benchmark::State& state) {
+  SimEventLoop loop;
+  TableSpec spec;
+  spec.name = "route";
+  spec.key_positions = {1};
+  Table table(spec, &loop);
+  table.AddIndex({2});
+  table.AddIndex({2, 0});
+  constexpr int64_t kRows = 64;
+  std::vector<TuplePtr> passes[2];
+  for (int64_t p = 0; p < 2; ++p) {
+    for (int64_t k = 0; k < kRows; ++k) {
+      passes[p].push_back(Tuple::Make("route", {Value::Addr("n0"), Value::Int(k),
+                                                Value::Int((k + p) % 8), Value::Int(p)}));
+    }
+  }
+  for (const TuplePtr& t : passes[1]) {
+    table.Insert(t);
+  }
+  size_t pass = 0;
+  for (auto _ : state) {
+    for (const TuplePtr& t : passes[pass]) {
+      benchmark::DoNotOptimize(table.Insert(t));
+    }
+    pass ^= 1;
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_TableReplaceByKey);
 
 // --- Demultiplexer dispatch ---
 
@@ -384,8 +450,8 @@ void BM_DeliveryLane(benchmark::State& state) {
     d.at = 1.0 + static_cast<double>(i % 17) * 1e-3;
     d.src = static_cast<uint64_t>(i % 64);
     d.seq = seq++;
-    d.from = "n" + std::to_string(i % 64);
-    d.to = "n" + std::to_string((i * 7) % 64);
+    d.from = static_cast<uint32_t>(i % 64);
+    d.to = static_cast<uint32_t>((i * 7) % 64);
     d.bytes.assign(96, static_cast<uint8_t>(i));
     loop.EnqueueLocal(std::move(d));
   }

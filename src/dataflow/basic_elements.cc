@@ -1,5 +1,7 @@
 #include "src/dataflow/basic_elements.h"
 
+#include <algorithm>
+
 #include "src/obs/registry.h"
 #include "src/runtime/logging.h"
 
@@ -159,7 +161,8 @@ PeriodicSource::PeriodicSource(std::string name, Executor* executor, Rng* rng,
     : Element(std::move(name)),
       executor_(executor),
       rng_(rng),
-      local_addr_(std::move(local_addr)),
+      local_addr_(Value::Addr(std::move(local_addr))),
+      schema_(InternSchema("periodic")),
       period_(period),
       count_(count),
       initial_delay_(initial_delay),
@@ -184,11 +187,11 @@ void PeriodicSource::Stop() {
 void PeriodicSource::Fire() {
   timer_ = kInvalidTimer;
   ++fired_;
-  std::vector<Value> fields;
-  fields.push_back(Value::Addr(local_addr_));
-  fields.push_back(Value::Id(rng_->NextId()));  // unique event identifier E
-  fields.insert(fields.end(), extras_.begin(), extras_.end());
-  PushOut(0, Tuple::Make("periodic", std::move(fields)));
+  PushOut(0, Tuple::Build(schema_, 2 + extras_.size(), [&](Value* out) {
+    out[0] = local_addr_;
+    out[1] = Value::Id(rng_->NextId());  // unique event identifier E
+    std::copy(extras_.begin(), extras_.end(), out + 2);
+  }));
   if (count_ == 0 || fired_ < count_) {
     timer_ = executor_->ScheduleAfter(period_ > 0 ? period_ : 0.0, [this]() { Fire(); });
   }

@@ -137,7 +137,8 @@ class PeriodicSource : public Element {
 
   Executor* executor_;
   Rng* rng_;
-  std::string local_addr_;
+  Value local_addr_;  // shared by every tuple this source emits
+  SchemaId schema_;   // "periodic"
   double period_;
   uint64_t count_;  // 0 = unbounded
   double initial_delay_;

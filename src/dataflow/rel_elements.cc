@@ -197,6 +197,7 @@ void RuleDriver::Fire(const TuplePtr& t, bool ttl) {
   }
   if (depth_ == frames_.size()) {
     frames_.push_back(std::make_unique<Frame>());
+    frames_.back()->rows.resize(ops_.size());
   }
   Frame& f = *frames_[depth_++];
   f.ttl = ttl;
@@ -222,19 +223,23 @@ void RuleDriver::Fire(const TuplePtr& t, bool ttl) {
   }
 }
 
-std::vector<TuplePtr> RuleDriver::Probe(const Op& op, Frame& f, size_t width) {
+void RuleDriver::EvalKeys(const Op& op, Frame& f, size_t width) {
   f.keys.clear();
   for (const PelProgram& k : op.key_exprs) {
     f.keys.push_back(vm_.Eval(k, f.slots.data(), width));
   }
+}
+
+void RuleDriver::Probe(const Op& op, Frame& f, size_t width, std::vector<TuplePtr>* out) {
+  EvalKeys(op, f, width);
   if (op.distinct >= 0) {
-    return op.table->LookupDistinct(op.key_cols, f.keys,
-                                    agg_->distinct_cols[static_cast<size_t>(op.distinct)]);
+    op.table->LookupDistinct(op.key_cols, f.keys,
+                             agg_->distinct_cols[static_cast<size_t>(op.distinct)], out);
+  } else if (op.key_cols.empty()) {
+    op.table->Scan(out);
+  } else {
+    op.table->LookupByCols(op.key_cols, f.keys, out);
   }
-  if (op.key_cols.empty()) {
-    return op.table->Scan();
-  }
-  return op.table->LookupByCols(op.key_cols, f.keys);
 }
 
 void RuleDriver::Run(size_t i, Frame& f, size_t width) {
@@ -254,20 +259,31 @@ void RuleDriver::Run(size_t i, Frame& f, size_t width) {
         ++width;
         break;
       case Op::Kind::kAntiJoin: {
-        bool any = op.key_cols.empty() ? op.table->size() > 0 : !Probe(op, f, width).empty();
+        bool any;
+        if (op.key_cols.empty()) {
+          any = op.table->size() > 0;
+        } else {
+          EvalKeys(op, f, width);
+          any = op.table->HasMatch(op.key_cols, f.keys);
+        }
         if (any) {
           return;
         }
         break;
       }
       case Op::Kind::kJoin: {
-        for (const TuplePtr& row : Probe(op, f, width)) {
+        // Deeper ops use their own buffers, and a nested fire its own
+        // frame, so this snapshot holds still while the loop runs.
+        std::vector<TuplePtr>& rows = f.rows[i];
+        Probe(op, f, width, &rows);
+        for (const TuplePtr& row : rows) {
           if (f.slots.size() < width + row->size()) {
             f.slots.resize(width + row->size());
           }
           std::copy(row->fields().begin(), row->fields().end(), f.slots.begin() + width);
           Run(i + 1, f, width + row->size());
         }
+        rows.clear();
         return;
       }
     }
@@ -276,7 +292,13 @@ void RuleDriver::Run(size_t i, Frame& f, size_t width) {
     FoldBinding(f, width);
     return;
   }
-  Emit(Tuple::Make(head_schema_, HeadFields(f, width)), f);
+  Emit(Tuple::Build(head_schema_, head_.size(),
+                    [&](Value* out) {
+                      for (size_t k = 0; k < head_.size(); ++k) {
+                        out[k] = vm_.Eval(head_[k], f.slots.data(), width);
+                      }
+                    }),
+       f);
 }
 
 void RuleDriver::Emit(const TuplePtr& head, const Frame& f) {
@@ -306,24 +328,21 @@ void RuleDriver::Emit(const TuplePtr& head, const Frame& f) {
   }
 }
 
-std::vector<Value> RuleDriver::HeadFields(const Frame& f, size_t width) {
-  std::vector<Value> fields;
-  fields.reserve(head_.size());
-  for (const PelProgram& p : head_) {
-    fields.push_back(vm_.Eval(p, f.slots.data(), width));
+void RuleDriver::HeadFields(const Frame& f, size_t width, std::vector<Value>* out) {
+  out->resize(head_.size());
+  for (size_t k = 0; k < head_.size(); ++k) {
+    (*out)[k] = vm_.Eval(head_[k], f.slots.data(), width);
   }
-  return fields;
 }
 
 void RuleDriver::FoldBinding(Frame& f, size_t width) {
   const Aggregate& agg = *agg_;
   Fold& fold = *f.fold;
   // A pure head is built only when kept; its aggregate field alone decides.
-  std::vector<Value> fields;
   if (agg.head_volatile) {
-    fields = HeadFields(f, width);
+    HeadFields(f, width, &fold.candidate);
   }
-  Value v = agg.head_volatile ? fields[agg.position]
+  Value v = agg.head_volatile ? fold.candidate[agg.position]
                               : vm_.Eval(head_[agg.position], f.slots.data(), width);
   bool keep = fold.count == 0;
   switch (agg.kind) {
@@ -342,7 +361,11 @@ void RuleDriver::FoldBinding(Frame& f, size_t width) {
   }
   ++fold.count;
   if (keep) {
-    fold.best = agg.head_volatile ? std::move(fields) : HeadFields(f, width);
+    if (agg.head_volatile) {
+      fold.best.swap(fold.candidate);
+    } else {
+      HeadFields(f, width, &fold.best);
+    }
   }
 }
 
@@ -354,24 +377,26 @@ TuplePtr RuleDriver::TakeFolded(Frame& f, size_t event_width) {
       return nullptr;
     }
     // The frame's first `event_width` slots still hold the event.
-    std::vector<Value> fields;
-    fields.reserve(head_.size());
-    for (size_t i = 0; i < head_.size(); ++i) {
-      if (i == agg.position) {
-        fields.push_back(Value::Int(0));
-      } else {
-        size_t pi = i < agg.position ? i : i - 1;
-        fields.push_back(vm_.Eval(agg.empty_fields[pi], f.slots.data(), event_width));
+    return Tuple::Build(head_schema_, head_.size(), [&](Value* out) {
+      for (size_t i = 0; i < head_.size(); ++i) {
+        if (i == agg.position) {
+          out[i] = Value::Int(0);
+        } else {
+          size_t pi = i < agg.position ? i : i - 1;
+          out[i] = vm_.Eval(agg.empty_fields[pi], f.slots.data(), event_width);
+        }
       }
-    }
-    return Tuple::Make(head_schema_, std::move(fields));
+    });
   }
   if (agg.kind == AggKind::kCount || agg.kind == AggKind::kSum || agg.kind == AggKind::kAvg) {
     fold.best[agg.position] = AggFinal(agg.kind, fold.acc, fold.count);
   }
   fold.count = 0;
   fold.acc = Value::Null();
-  return Tuple::Make(head_schema_, std::move(fold.best));
+  // Moves the fields out and keeps `best`'s buffer for the next fire.
+  return Tuple::Build(head_schema_, fold.best.size(), [&](Value* out) {
+    std::move(fold.best.begin(), fold.best.end(), out);
+  });
 }
 
 // --- TableAggWatcher ---
@@ -477,9 +502,7 @@ void TableAggWatcher::EmitGroup(const std::vector<Value>& key) {
       return;
     }
     if (kind_ == AggKind::kCount) {
-      std::vector<Value> fields = key;
-      fields.push_back(Value::Int(0));
-      Emit(std::move(fields));
+      Emit(key, Value::Int(0));
     }
     last_.erase(prev);
     return;
@@ -508,15 +531,16 @@ void TableAggWatcher::EmitGroup(const std::vector<Value>& key) {
     return;
   }
   last_[key] = v;
-  std::vector<Value> fields = key;
-  fields.push_back(v);
-  Emit(std::move(fields));
+  Emit(key, v);
 }
 
-void TableAggWatcher::Emit(std::vector<Value> fields) {
+void TableAggWatcher::Emit(const std::vector<Value>& key, const Value& v) {
   CountOut();
   if (route_) {
-    route_(Tuple::Make(out_schema_, std::move(fields)));
+    route_(Tuple::Build(out_schema_, key.size() + 1, [&](Value* out) {
+      std::copy(key.begin(), key.end(), out);
+      out[key.size()] = v;
+    }));
   }
 }
 

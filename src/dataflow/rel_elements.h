@@ -85,11 +85,12 @@ enum class AggKind { kMin, kMax, kCount, kSum, kAvg };
 // Re-entrancy: a local head is inserted into its table synchronously, and
 // that insert can fire this same strand again before the outer fire ends
 // (Chord's CM9 `succ :- succ, pingResp` inserts into the table it probes).
-// Each re-entrancy depth reuses its own frame, fold state and fire mode
-// included, so once a depth has been reached a fire allocates no frame,
-// and a nested fire never clobbers outer bindings or the outer mode; every
-// probe iterates a snapshot, so nested inserts do not change what an
-// outer probe visits.
+// Each re-entrancy depth reuses its own frame, fold state, probe buffers
+// and fire mode included, so once a depth has been reached a fire
+// allocates only the heads it builds, and a nested fire never clobbers
+// outer bindings or the outer mode; every probe iterates a snapshot in its
+// op's buffer, so nested inserts do not change what an outer probe
+// visits.
 class RuleDriver : public Element {
  public:
   // What the strand does with each head tuple it builds, set at plan time.
@@ -190,33 +191,42 @@ class RuleDriver : public Element {
     std::vector<std::vector<size_t>> distinct_cols;  // see Op::distinct
   };
   // One fire's fold: the kept head's fields, the count/sum/avg
-  // accumulator, and the bindings seen so far.
+  // accumulator, and the bindings seen so far. `candidate` holds a volatile
+  // head's fields until the fold decides whether to keep them.
   struct Fold {
     std::vector<Value> best;
+    std::vector<Value> candidate;
     Value acc;
     int64_t count = 0;
   };
   // One re-entrancy depth's working state: the binding frame (only a
   // prefix is live; slots past it hold stale values until overwritten),
-  // the key values of the probe in flight, an aggregate fire's fold, and
-  // the fire's mode.
+  // the key values of the probe in flight, each join's row buffer (indexed
+  // by op; body ops are all added before the first fire), an aggregate
+  // fire's fold, and the fire's mode.
   struct Frame {
     std::vector<Value> slots;
     std::vector<Value> keys;
+    std::vector<std::vector<TuplePtr>> rows;
     std::unique_ptr<Fold> fold;  // aggregate strands only
     bool ttl = false;
   };
 
   void AddProbe(Op::Kind kind, Table* table, std::vector<JoinKey> keys);
-  // Rows of op's table matching its keys over the frame's first `width`
-  // slots (a snapshot).
-  std::vector<TuplePtr> Probe(const Op& op, Frame& f, size_t width);
+  // Evaluates op's key programs over the frame's first `width` slots into
+  // `f.keys`.
+  void EvalKeys(const Op& op, Frame& f, size_t width);
+  // Sets `*out` to a snapshot of the rows of op's table matching its keys
+  // over the frame's first `width` slots.
+  void Probe(const Op& op, Frame& f, size_t width, std::vector<TuplePtr>* out);
   // Runs ops_[i..] over the frame's first `width` slots, emitting one head
   // tuple per surviving binding (or folding it, in an aggregate strand).
   void Run(size_t i, Frame& f, size_t width);
   // Applies the tail to one head built in frame `f`.
   void Emit(const TuplePtr& head, const Frame& f);
-  std::vector<Value> HeadFields(const Frame& f, size_t width);
+  // Evaluates the head programs over the frame's first `width` slots into
+  // `out`, which is resized to the head's arity.
+  void HeadFields(const Frame& f, size_t width, std::vector<Value>* out);
   void FoldBinding(Frame& f, size_t width);
   // The fire's aggregate result, or null (no binding, no empty emission).
   // Resets the fold.
@@ -288,7 +298,8 @@ class TableAggWatcher : public Element {
   // Emits the group's aggregate if it changed since last reported; emits
   // (key..., 0) for a vanished count group.
   void EmitGroup(const std::vector<Value>& key);
-  void Emit(std::vector<Value> fields);
+  // Routes the tuple (key..., v), built in place.
+  void Emit(const std::vector<Value>& key, const Value& v);
 
   Table* table_;
   std::vector<size_t> group_cols_;

@@ -236,13 +236,19 @@ std::optional<TuplePtr> UnmarshalTuple(ByteReader* r, AddrCache* addrs) {
   if (schema == kInvalidSchema) {
     return std::nullopt;
   }
-  std::vector<Value> fields(n);
-  for (Value& v : fields) {
-    if (!UnmarshalValue(r, &v, addrs)) {
-      return std::nullopt;
+  // Decodes straight into the tuple; a malformed field frees it.
+  TuplePtr t = Tuple::Build(schema, n, [&](Value* fields) {
+    for (uint16_t i = 0; i < n; ++i) {
+      if (!UnmarshalValue(r, &fields[i], addrs)) {
+        return false;
+      }
     }
+    return true;
+  });
+  if (t == nullptr) {
+    return std::nullopt;
   }
-  return Tuple::Make(schema, std::move(fields));
+  return t;
 }
 
 std::vector<uint8_t> MarshalTupleToBytes(const Tuple& t) {

@@ -478,9 +478,9 @@ std::string Value::ToString() const {
 }
 
 size_t ValueVecHash::operator()(const std::vector<Value>& vs) const {
-  size_t h = 0xCBF29CE4u;
+  size_t h = kValueVecHashSeed;
   for (const Value& v : vs) {
-    h = h * 1099511628211ull + v.HashValue();
+    h = ValueVecHashStep(h, v);
   }
   return h;
 }

@@ -194,6 +194,13 @@ static_assert(sizeof(Value) == 16, "Value must stay a 16-byte tagged union");
 // another Id afterwards. The main thread never needs to call it.
 void DrainThreadIdRepPool();
 
+// ValueVecHash's fold, one element at a time: a key read in place from a
+// row (src/table's KeyView) hashes exactly like the vector it stands for.
+inline constexpr size_t kValueVecHashSeed = 0xCBF29CE4u;
+inline size_t ValueVecHashStep(size_t h, const Value& v) {
+  return h * 1099511628211ull + v.HashValue();
+}
+
 // Hash functor for use in unordered containers keyed by Value vectors.
 struct ValueVecHash {
   size_t operator()(const std::vector<Value>& vs) const;

@@ -52,8 +52,9 @@ struct SimDelivery {
   double at = 0;
   uint64_t src = 0;
   uint64_t seq = 0;
-  std::string from;
-  std::string to;
+  // Sender and destination addresses, as the network's dense address ids.
+  uint32_t from = 0;
+  uint32_t to = 0;
   std::vector<uint8_t> bytes;
 };
 

@@ -39,18 +39,29 @@ size_t SimNetwork::ShardOf(size_t topo_index) const {
 
 std::unique_ptr<SimTransport> SimNetwork::MakeTransport(const std::string& addr,
                                                         size_t topo_index) {
-  P2_CHECK(endpoints_.find(addr) == endpoints_.end());
+  auto [id, fresh] = addr_ids_.try_emplace(addr, static_cast<uint32_t>(addr_names_.size()));
+  if (fresh) {
+    addr_names_.push_back(addr);
+    endpoints_.emplace_back();
+  }
+  Endpoint& e = endpoints_[id->second];
+  P2_CHECK(e.transport == nullptr);
   size_t shard = ShardOf(topo_index);
   // Ordinal and RNG seed are drawn in registration order, which the
   // coordinator drives deterministically — so an endpoint incarnation gets
   // the same identity and loss stream at any shard count.
-  auto t = std::unique_ptr<SimTransport>(
-      new SimTransport(this, addr, topo_index, shard, next_ordinal_++, rng_.NextU64()));
-  endpoints_[addr] = Endpoint{t.get(), topo_index, shard};
+  auto t = std::unique_ptr<SimTransport>(new SimTransport(
+      this, addr, id->second, topo_index, shard, next_ordinal_++, rng_.NextU64()));
+  e = Endpoint{t.get(), topo_index, shard};
   return t;
 }
 
-void SimNetwork::Unregister(const std::string& addr) { endpoints_.erase(addr); }
+void SimNetwork::Unregister(const SimTransport* t) {
+  Endpoint& e = endpoints_[t->addr_id_];
+  if (e.transport == t) {
+    e.transport = nullptr;
+  }
+}
 
 uint64_t SimNetwork::delivered() const {
   uint64_t total = 0;
@@ -65,12 +76,13 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
   if (loss_rate_ > 0 && from->rng_.CoinFlip(loss_rate_)) {
     return;
   }
-  auto it = endpoints_.find(to);
-  if (it == endpoints_.end()) {
+  auto id = addr_ids_.find(to);
+  if (id == addr_ids_.end() || endpoints_[id->second].transport == nullptr) {
     return;  // Destination dead or never existed: datagram vanishes.
   }
+  const Endpoint& dest = endpoints_[id->second];
   size_t src = from->topo_index_;
-  size_t dst = it->second.topo_index;
+  size_t dst = dest.topo_index;
   double now = loops_[from->shard_]->Now();
   if (faults_ != nullptr) {
     // Fault decisions use the sender's own RNG stream and shard clock, so
@@ -94,11 +106,11 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
   d.at = now + latency;
   d.src = from->ordinal_;
   d.seq = from->send_seq_++;
-  d.from = from->addr_;
-  d.to = to;
+  d.from = from->addr_id_;
+  d.to = id->second;
   d.bytes = std::move(bytes);
 
-  SimEventLoop* dst_loop = loops_[it->second.shard];
+  SimEventLoop* dst_loop = loops_[dest.shard];
   SimEventLoop* running = SimEventLoop::Current();
   if (running == dst_loop || running == nullptr) {
     // Same shard, or the coordinator thread with every shard parked.
@@ -110,19 +122,19 @@ void SimNetwork::Send(SimTransport* from, const std::string& to,
   // window boundary — one lock round-trip per (source, destination,
   // window) instead of per datagram. Delivery order is unaffected:
   // destinations execute in (at, src, seq) heap order.
-  running->StageRemote(it->second.shard, std::move(d));
+  running->StageRemote(dest.shard, std::move(d));
 }
 
 void SimNetwork::Deliver(size_t shard, const SimDelivery& d) {
-  auto it = endpoints_.find(d.to);
-  if (it == endpoints_.end()) {
+  SimTransport* dest = endpoints_[d.to].transport;
+  if (dest == nullptr) {
     return;  // Died in flight.
   }
   ++delivered_by_shard_[shard];
-  it->second.transport->Deliver(d.from, d.bytes);
+  dest->Deliver(addr_names_[d.from], d.bytes);
 }
 
-SimTransport::~SimTransport() { net_->Unregister(addr_); }
+SimTransport::~SimTransport() { net_->Unregister(this); }
 
 void SimTransport::SendTo(const std::string& to, std::vector<uint8_t> bytes,
                           TrafficClass cls) {

@@ -41,6 +41,13 @@ class SimTransport;
 // topology-derived latency (+ optional loss). Endpoints are
 // SimTransport objects created via MakeTransport.
 //
+// Every address gets a dense id the first time an endpoint binds it, and
+// keeps it for the fabric's life. A datagram carries its sender's and
+// destination's ids, and delivery finds the destination by indexing a
+// vector with the id: whichever endpoint holds the address when the
+// datagram lands receives it, so an endpoint revived at its old address
+// still receives datagrams sent to it before the restart.
+//
 // Threading contract: MakeTransport / Unregister / set_loss_rate run on
 // the coordinator thread (between runs or from control-timeline tasks)
 // while every shard is parked; sends and deliveries run on shard threads
@@ -73,10 +80,6 @@ class SimNetwork {
   // the fabric's shard-count determinism is preserved.
   void SetFaults(FaultInjector* faults) { faults_ = faults; }
 
-  // Simulates a node crash: datagrams to `addr` vanish. Called by the
-  // transport destructor as well.
-  void Unregister(const std::string& addr);
-
   // Fabric-wide delivered-message counter: an explicit merge of the
   // per-shard counters (each written only by its own shard's thread).
   uint64_t delivered() const;
@@ -93,12 +96,15 @@ class SimNetwork {
   friend class SimTransport;
 
   struct Endpoint {
-    SimTransport* transport;
-    size_t topo_index;
-    size_t shard;
+    SimTransport* transport = nullptr;  // null while no endpoint holds the address
+    size_t topo_index = 0;
+    size_t shard = 0;
   };
 
   void Init();
+  // Simulates a node crash: datagrams to `t`'s address vanish until an
+  // endpoint binds it again. Called by the transport destructor.
+  void Unregister(const SimTransport* t);
   void Send(SimTransport* from, const std::string& to, std::vector<uint8_t> bytes);
   void Deliver(size_t shard, const SimDelivery& d);
 
@@ -109,7 +115,9 @@ class SimNetwork {
   uint64_t next_ordinal_ = 1;
   std::vector<SimEventLoop*> loops_;
   std::vector<uint64_t> delivered_by_shard_;
-  std::unordered_map<std::string, Endpoint> endpoints_;
+  std::unordered_map<std::string, uint32_t> addr_ids_;
+  std::vector<std::string> addr_names_;  // indexed by address id
+  std::vector<Endpoint> endpoints_;      // indexed by address id
 };
 
 class SimTransport : public Transport {
@@ -127,10 +135,11 @@ class SimTransport : public Transport {
 
  private:
   friend class SimNetwork;
-  SimTransport(SimNetwork* net, std::string addr, size_t topo_index, size_t shard,
-               uint64_t ordinal, uint64_t rng_seed)
+  SimTransport(SimNetwork* net, std::string addr, uint32_t addr_id, size_t topo_index,
+               size_t shard, uint64_t ordinal, uint64_t rng_seed)
       : net_(net),
         addr_(std::move(addr)),
+        addr_id_(addr_id),
         topo_index_(topo_index),
         shard_(shard),
         ordinal_(ordinal),
@@ -140,6 +149,7 @@ class SimTransport : public Transport {
 
   SimNetwork* net_;
   std::string addr_;
+  uint32_t addr_id_;
   size_t topo_index_;
   size_t shard_;
   uint64_t ordinal_;  // unique per endpoint incarnation: the delivery key

@@ -14,6 +14,10 @@
 // true value) but expiry never deletes the head row — derived soft state
 // ages out on its own TTL, preserving the planner's expiry contract.
 // Removal of the head row itself (any cause) drops the count entry.
+//
+// Keys are read in place (KeyView): an entry keeps the head tuple it was
+// first counted for, and its key reads that tuple's key columns, so
+// neither Inc nor Dec builds a key vector.
 #ifndef P2_TABLE_SUPPORT_COUNTS_H_
 #define P2_TABLE_SUPPORT_COUNTS_H_
 
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "src/runtime/tuple.h"
+#include "src/table/key_view.h"
 
 namespace p2 {
 
@@ -36,7 +41,8 @@ class SupportCounts {
   SupportCounts(const SupportCounts&) = delete;
   SupportCounts& operator=(const SupportCounts&) = delete;
 
-  // A counted derivation of `head_row` happened.
+  // A counted derivation of `head_row` happened. A new entry keeps a
+  // handle on `head_row`.
   void Inc(const Tuple& head_row);
 
   // A counted derivation of `head_row` was retracted. Decrements; when
@@ -51,10 +57,16 @@ class SupportCounts {
   size_t entries() const { return counts_.size(); }
 
  private:
-  std::vector<Value> KeyOf(const Tuple& t) const;
+  struct Entry {
+    TuplePtr key_row;  // what the entry's key reads
+    uint64_t count = 0;
+  };
+
+  KeyView KeyOf(const Tuple& t) const { return KeyView(t, key_cols_); }
 
   Table* head_;
-  std::unordered_map<std::vector<Value>, uint64_t, ValueVecHash, ValueVecEq> counts_;
+  const std::vector<size_t>* key_cols_;  // the head's key; null: whole tuple
+  std::unordered_map<KeyView, Entry, KeyView::Hasher> counts_;
 };
 
 }  // namespace p2

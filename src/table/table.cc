@@ -43,7 +43,10 @@ bool Identical(const Value& a, const Value& b) {
 
 }  // namespace
 
-Table::Table(TableSpec spec, Executor* executor) : spec_(std::move(spec)), executor_(executor) {
+Table::Table(TableSpec spec, Executor* executor)
+    : spec_(std::move(spec)),
+      primary_cols_(spec_.key_positions.empty() ? nullptr : &spec_.key_positions),
+      executor_(executor) {
   P2_CHECK(executor_ != nullptr);
 }
 
@@ -65,13 +68,6 @@ void Table::BindObs(obs::Registry* registry, size_t lane) {
   if (!rows_.empty()) {
     obs_rows_->Add(static_cast<int64_t>(rows_.size()));  // bound mid-life
   }
-}
-
-std::vector<Value> Table::PrimaryKeyOf(const Tuple& t) const {
-  if (spec_.key_positions.empty()) {
-    return t.fields();
-  }
-  return t.KeyOf(spec_.key_positions);
 }
 
 void Table::PurgeExpired() {
@@ -136,33 +132,61 @@ void Table::EraseRow(RowList::iterator it, bool notify_removal, TableDelta::Caus
   }
 }
 
+void Table::AddToBucket(SecondaryIndex& idx, const KeyView& key, RowList::iterator it) {
+  auto [bucket, fresh] = idx.map.try_emplace(key);
+  if (fresh) {
+    bucket->second.key_row = it->tuple;
+    ++idx.distinct;
+  }
+  bucket->second.rows.push_back(it);
+}
+
+void Table::DropFromBucket(SecondaryIndex& idx, BucketMap::iterator bucket,
+                           RowList::iterator it) {
+  std::vector<RowList::iterator>& rows = bucket->second.rows;
+  rows.erase(std::find(rows.begin(), rows.end(), it));
+  if (rows.empty()) {
+    idx.map.erase(bucket);
+    --idx.distinct;
+  }
+}
+
 void Table::IndexInsert(RowList::iterator it) {
   for (SecondaryIndex& idx : secondary_) {
-    auto [bucket, fresh] = idx.map.try_emplace(it->tuple->KeyOf(idx.cols));
-    if (fresh) {
-      ++idx.distinct;
-    }
-    bucket->second.push_back(it);
+    AddToBucket(idx, KeyView(*it->tuple, &idx.cols), it);
   }
 }
 
 void Table::IndexErase(RowList::iterator it) {
   for (SecondaryIndex& idx : secondary_) {
-    auto bucket = idx.map.find(it->tuple->KeyOf(idx.cols));
-    if (bucket == idx.map.end()) {
+    auto bucket = idx.map.find(KeyView(*it->tuple, &idx.cols));
+    if (bucket != idx.map.end()) {
+      DropFromBucket(idx, bucket, it);
+    }
+  }
+}
+
+void Table::IndexReplace(RowList::iterator it, const TuplePtr& t, bool refresh) {
+  TuplePtr old = it->tuple;
+  it->tuple = t;
+  for (SecondaryIndex& idx : secondary_) {
+    KeyView old_key(*old, &idx.cols);
+    KeyView key(*t, &idx.cols);
+    if (refresh && old_key.hash() == key.hash()) {
+      continue;  // an identical refresh keeps its place
+    }
+    auto bucket = idx.map.find(old_key);
+    if (bucket != idx.map.end() && bucket->first == key) {
+      // Same bucket: rotate the row to the back, no map traffic.
+      std::vector<RowList::iterator>& rows = bucket->second.rows;
+      auto pos = std::find(rows.begin(), rows.end(), it);
+      std::rotate(pos, pos + 1, rows.end());
       continue;
     }
-    std::vector<RowList::iterator>& rows = bucket->second;
-    for (auto i = rows.begin(); i != rows.end(); ++i) {
-      if (*i == it) {
-        rows.erase(i);
-        break;
-      }
+    if (bucket != idx.map.end()) {
+      DropFromBucket(idx, bucket, it);
     }
-    if (rows.empty()) {
-      idx.map.erase(bucket);
-      --idx.distinct;
-    }
+    AddToBucket(idx, key, it);
   }
 }
 
@@ -177,7 +201,7 @@ bool Table::Insert(const TuplePtr& t) {
   double expires = std::isfinite(spec_.lifetime_s)
                        ? executor_->Now() + spec_.lifetime_s
                        : std::numeric_limits<double>::infinity();
-  std::vector<Value> key = PrimaryKeyOf(*t);
+  KeyView key = PrimaryKeyOf(*t);
   auto found = primary_.find(key);
   bool changed = true;
   TuplePtr displaced;  // the old row when this insert replaces by key
@@ -189,19 +213,17 @@ bool Table::Insert(const TuplePtr& t) {
     changed = !it->tuple->SameAs(*t);
     displaced = it->tuple;
     rows_.splice(rows_.end(), rows_, it);
-    if (changed) {
-      // Non-key fields may differ: secondary entries are keyed on them.
-      IndexErase(it);
-      it->tuple = t;
-      IndexInsert(it);
-    } else {
-      it->tuple = t;
-    }
+    // Non-key fields may differ: secondary entries are keyed on them. Even
+    // an identical refresh (SameAs) may change a projection's hash, as
+    // Int(1) for Double(1.0) does, and then moves buckets.
+    IndexReplace(it, t, /*refresh=*/!changed);
+    // The displaced tuple may be freed once this insert returns.
+    found->first.Rebase(*t);
     it->expires_at = expires;
   } else {
     rows_.push_back(Row{t, expires});
     auto it = std::prev(rows_.end());
-    primary_.emplace(std::move(key), it);
+    primary_.emplace(key, it);
     IndexInsert(it);
     if (obs_rows_ != nullptr) {
       obs_rows_->Add(1);
@@ -233,7 +255,11 @@ bool Table::Insert(const TuplePtr& t) {
   return changed;
 }
 
-bool Table::DeleteByKey(const std::vector<Value>& key) {
+bool Table::DeleteByKey(const std::vector<Value>& key) { return Delete(KeyView(key)); }
+
+bool Table::DeleteMatching(const Tuple& derived) { return Delete(PrimaryKeyOf(derived)); }
+
+bool Table::Delete(const KeyView& key) {
   PurgeExpired();
   auto found = primary_.find(key);
   if (found == primary_.end()) {
@@ -243,21 +269,15 @@ bool Table::DeleteByKey(const std::vector<Value>& key) {
   return true;
 }
 
-bool Table::DeleteMatching(const Tuple& derived) {
-  return DeleteByKey(PrimaryKeyOf(derived));
-}
-
 void Table::AddIndex(const std::vector<size_t>& cols) {
   if (HasIndex(cols)) {
     return;
   }
-  SecondaryIndex idx;
+  SecondaryIndex& idx = secondary_.emplace_back();
   idx.cols = cols;
   for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    idx.map[it->tuple->KeyOf(cols)].push_back(it);
+    AddToBucket(idx, KeyView(*it->tuple, &idx.cols), it);
   }
-  idx.distinct = idx.map.size();
-  secondary_.push_back(std::move(idx));
 }
 
 const Table::SecondaryIndex* Table::FindIndex(const std::vector<size_t>& cols) const {
@@ -314,37 +334,43 @@ bool Table::HasIndex(const std::vector<size_t>& cols) const {
   return FindIndex(cols) != nullptr;
 }
 
-std::vector<TuplePtr> Table::LookupByCols(const std::vector<size_t>& cols,
-                                          const std::vector<Value>& vals) {
+const Table::Bucket* Table::FindBucket(const std::vector<size_t>& cols,
+                                       const std::vector<Value>& vals) {
   PurgeExpired();
   const SecondaryIndex* idx = FindIndex(cols);
   P2_CHECK(idx != nullptr);
-  std::vector<TuplePtr> out;
-  auto bucket = idx->map.find(vals);
-  if (bucket == idx->map.end()) {
-    return out;
-  }
-  out.reserve(bucket->second.size());
-  for (RowList::iterator row : bucket->second) {
-    out.push_back(row->tuple);
-  }
-  return out;
+  auto bucket = idx->map.find(KeyView(vals));
+  return bucket == idx->map.end() ? nullptr : &bucket->second;
 }
 
-std::vector<TuplePtr> Table::LookupDistinct(const std::vector<size_t>& cols,
-                                            const std::vector<Value>& vals,
-                                            const std::vector<size_t>& distinct) {
-  PurgeExpired();
-  const std::vector<RowList::iterator>* bucket = nullptr;
-  size_t n = rows_.size();
-  if (!cols.empty()) {
-    const SecondaryIndex* idx = FindIndex(cols);
-    P2_CHECK(idx != nullptr);
-    auto found = idx->map.find(vals);
-    if (found == idx->map.end()) {
-      return {};
+void Table::LookupByCols(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                         std::vector<TuplePtr>* out) {
+  out->clear();
+  if (const Bucket* bucket = FindBucket(cols, vals)) {
+    for (RowList::iterator row : bucket->rows) {
+      out->push_back(row->tuple);
     }
-    bucket = &found->second;
+  }
+}
+
+bool Table::HasMatch(const std::vector<size_t>& cols, const std::vector<Value>& vals) {
+  return FindBucket(cols, vals) != nullptr;
+}
+
+void Table::LookupDistinct(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                           const std::vector<size_t>& distinct, std::vector<TuplePtr>* out) {
+  out->clear();
+  const std::vector<RowList::iterator>* bucket = nullptr;
+  size_t n;
+  if (cols.empty()) {
+    PurgeExpired();
+    n = rows_.size();
+  } else {
+    const Bucket* found = FindBucket(cols, vals);
+    if (found == nullptr) {
+      return;
+    }
+    bucket = &found->rows;
     n = bucket->size();
   }
   // Open-addressed set of the kept projections, at most half full: each
@@ -354,8 +380,8 @@ std::vector<TuplePtr> Table::LookupDistinct(const std::vector<size_t>& cols,
     ++bits;
   }
   const size_t mask = (size_t{1} << bits) - 1;
-  std::vector<size_t> slots(mask + 1, 0);
-  std::vector<TuplePtr> out;
+  std::vector<size_t>& slots = distinct_slots_;
+  slots.assign(mask + 1, 0);
   auto keep = [&](const TuplePtr& row) {
     uint64_t h = 0;
     for (size_t c : distinct) {
@@ -363,11 +389,11 @@ std::vector<TuplePtr> Table::LookupDistinct(const std::vector<size_t>& cols,
     }
     for (size_t s = (h * 0x9E3779B97F4A7C15ull) >> (64 - bits);; s = (s + 1) & mask) {
       if (slots[s] == 0) {
-        out.push_back(row);
-        slots[s] = out.size();
+        out->push_back(row);
+        slots[s] = out->size();
         return;
       }
-      const Tuple& kept = *out[slots[s] - 1];
+      const Tuple& kept = *(*out)[slots[s] - 1];
       bool same = true;
       for (size_t c : distinct) {
         if (!Identical(kept.field(c), row->field(c))) {
@@ -389,22 +415,26 @@ std::vector<TuplePtr> Table::LookupDistinct(const std::vector<size_t>& cols,
       keep(row->tuple);
     }
   }
-  return out;
 }
 
 std::vector<TuplePtr> Table::Scan() {
-  PurgeExpired();
   std::vector<TuplePtr> out;
-  out.reserve(rows_.size());
-  for (const Row& row : rows_) {
-    out.push_back(row.tuple);
-  }
+  Scan(&out);
   return out;
+}
+
+void Table::Scan(std::vector<TuplePtr>* out) {
+  PurgeExpired();
+  out->clear();
+  out->reserve(rows_.size());
+  for (const Row& row : rows_) {
+    out->push_back(row.tuple);
+  }
 }
 
 TuplePtr Table::FindByKey(const std::vector<Value>& key) {
   PurgeExpired();
-  auto found = primary_.find(key);
+  auto found = primary_.find(KeyView(key));
   return found == primary_.end() ? nullptr : found->second->tuple;
 }
 

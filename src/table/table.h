@@ -15,7 +15,9 @@
 // All index structures are hash-based over the Values' cached hashes:
 // primary lookups, secondary probes and refreshes are O(1) per row. Every
 // probe runs on a secondary index its user declared up front (the planner
-// declares one per join at plan time).
+// declares one per join at plan time). Keys are read in place from the
+// rows (KeyView), so no operation builds a key vector, and a probe fills a
+// buffer its caller reuses.
 //
 // Tables are node-local; partitioning across nodes is expressed by OverLog
 // location specifiers, not by the table layer.
@@ -31,6 +33,7 @@
 
 #include "src/runtime/executor.h"
 #include "src/runtime/tuple.h"
+#include "src/table/key_view.h"
 
 namespace p2 {
 
@@ -110,21 +113,26 @@ class Table {
   void AddIndex(const std::vector<size_t>& cols);
   bool HasIndex(const std::vector<size_t>& cols) const;
 
-  // All rows whose `cols` fields equal `vals`, through the index over
-  // `cols`, which must exist (AddIndex). Purges expired rows first.
-  std::vector<TuplePtr> LookupByCols(const std::vector<size_t>& cols,
-                                     const std::vector<Value>& vals);
+  // Sets `*out` to all rows whose `cols` fields equal `vals`, through the
+  // index over `cols`, which must exist (AddIndex). Purges expired rows
+  // first. `*out` is a snapshot: later writes to the table do not change
+  // it. Reusing one buffer across probes keeps probes allocation-free.
+  void LookupByCols(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                    std::vector<TuplePtr>* out);
 
-  // The rows LookupByCols would return, in the same order, keeping only
-  // the first row of each distinct projection onto `distinct`: a probe
-  // for a reader that never looks past those columns. Projections compare
-  // by identity (same type and same bits), not numeric equality, so
-  // Int(1) and Double(1.0) stay apart. Scans the index bucket in place and
-  // copies only the rows it keeps; an empty `cols` scans the whole table,
-  // oldest first. A non-empty `cols` needs an index (AddIndex).
-  std::vector<TuplePtr> LookupDistinct(const std::vector<size_t>& cols,
-                                       const std::vector<Value>& vals,
-                                       const std::vector<size_t>& distinct);
+  // True iff LookupByCols would find a row, without copying any.
+  bool HasMatch(const std::vector<size_t>& cols, const std::vector<Value>& vals);
+
+  // Sets `*out` to the rows LookupByCols would return, in the same order,
+  // keeping only the first row of each distinct projection onto
+  // `distinct`: a probe for a reader that never looks past those columns.
+  // Projections compare by identity (same type and same bits), not
+  // numeric equality, so Int(1) and Double(1.0) stay apart. Scans the
+  // index bucket in place and copies only the rows it keeps; an empty
+  // `cols` scans the whole table, oldest first. A non-empty `cols` needs
+  // an index (AddIndex).
+  void LookupDistinct(const std::vector<size_t>& cols, const std::vector<Value>& vals,
+                      const std::vector<size_t>& distinct, std::vector<TuplePtr>* out);
 
   // True iff an equality probe over `bound_cols` covers the primary key,
   // so it matches at most one row.
@@ -132,6 +140,8 @@ class Table {
 
   // All live rows, oldest first.
   std::vector<TuplePtr> Scan();
+  // The same, into a buffer the caller reuses.
+  void Scan(std::vector<TuplePtr>* out);
 
   // Row with exactly this primary key, or nullptr.
   TuplePtr FindByKey(const std::vector<Value>& key);
@@ -193,25 +203,59 @@ class Table {
     double expires_at;
   };
   using RowList = std::list<Row>;
-  using KeyMap =
-      std::unordered_map<std::vector<Value>, RowList::iterator, ValueVecHash, ValueVecEq>;
+  // Primary key -> its row. The key reads the row's current tuple: a
+  // replace by key re-points it (KeyView::Rebase) at the new tuple.
+  using KeyMap = std::unordered_map<KeyView, RowList::iterator, KeyView::Hasher>;
 
+  // All rows with one secondary-key projection, in insertion order. The
+  // bucket's map key reads `key_row`, the row that created the bucket,
+  // which the bucket keeps alive for as long as it exists.
+  struct Bucket {
+    TuplePtr key_row;
+    std::vector<RowList::iterator> rows;
+  };
+  using BucketMap = std::unordered_map<KeyView, Bucket, KeyView::Hasher>;
   struct SecondaryIndex;
 
-  std::vector<Value> PrimaryKeyOf(const Tuple& t) const;
+  // The primary key of `t`, read in place.
+  KeyView PrimaryKeyOf(const Tuple& t) const { return KeyView(t, primary_cols_); }
   // The index over exactly `cols`, or nullptr.
   const SecondaryIndex* FindIndex(const std::vector<size_t>& cols) const;
+  // The bucket of the index over `cols` (which must exist) holding `vals`,
+  // or nullptr. Purges expired rows first.
+  const Bucket* FindBucket(const std::vector<size_t>& cols, const std::vector<Value>& vals);
   // Distinct keys currently held by the index over `cols`, or 0 when no
   // such index exists. Maintained incrementally per index (bucket
   // creation/destruction), so polling is O(#indices), not O(rows).
   size_t DistinctKeys(const std::vector<size_t>& cols) const;
   void EraseRow(RowList::iterator it, bool notify_removal, TableDelta::Cause cause);
+  // Deletes the row with primary key `key`, if any.
+  bool Delete(const KeyView& key);
+  // Appends row `it` to the bucket of `key` in `idx`, creating the bucket
+  // (kept alive by the row's tuple) when none holds the key.
+  static void AddToBucket(SecondaryIndex& idx, const KeyView& key, RowList::iterator it);
+  // Removes row `it` from `bucket`, keeping the other rows' order, and
+  // drops the bucket once it is empty.
+  static void DropFromBucket(SecondaryIndex& idx, BucketMap::iterator bucket,
+                             RowList::iterator it);
+  // Adds row `it` at the back of its bucket in every index.
   void IndexInsert(RowList::iterator it);
+  // Removes row `it` from every index; `it->tuple` must still be the
+  // tuple it was indexed under.
   void IndexErase(RowList::iterator it);
+  // Replaces row `it`'s tuple by `t`, which has the same primary key, and
+  // moves the row to the back of its bucket in every index: in place when
+  // its projection stays in the same bucket, else out of the old bucket
+  // and into the new one. A `refresh` (t SameAs the old tuple) moves only
+  // where a projection's hash changed.
+  void IndexReplace(RowList::iterator it, const TuplePtr& t, bool refresh);
   // Re-arms the single expiry timer for the current oldest row.
   void ArmExpiryTimer();
 
   TableSpec spec_;
+  // The primary-key columns for KeyView: null when the whole tuple is the
+  // key.
+  const std::vector<size_t>* primary_cols_;
   Executor* executor_;
   RowList rows_;  // insertion/refresh order: front = oldest
   KeyMap primary_;
@@ -220,16 +264,18 @@ class Table {
     // Key -> all matching rows. One bucket per distinct key means a probe
     // pays one hash + one key comparison however many rows match, and the
     // match count is known up front (CHR-style constraint-store indexing).
-    std::unordered_map<std::vector<Value>, std::vector<RowList::iterator>, ValueVecHash,
-                       ValueVecEq>
-        map;
+    BucketMap map;
     // Bucket count, maintained incrementally on bucket creation/erase so
     // DistinctKeys never touches the map shape.
     size_t distinct = 0;
   };
-  // Flat: tables carry at most a handful of indices, and probing a vector
-  // by column-set equality beats a map keyed on stringified signatures.
-  std::vector<SecondaryIndex> secondary_;
+  // Tables carry at most a handful of indices, and probing a sequence by
+  // column-set equality beats a map keyed on stringified signatures. A
+  // list, because bucket keys point at their index's `cols`, so an index
+  // must never move once added; a table without one allocates nothing.
+  std::list<SecondaryIndex> secondary_;
+  // LookupDistinct's open-addressed set of kept projections, reused.
+  std::vector<size_t> distinct_slots_;
   std::vector<TypedDeltaFn> typed_listeners_;
   TimerId expiry_timer_ = kInvalidTimer;
   double expiry_armed_at_ = std::numeric_limits<double>::infinity();

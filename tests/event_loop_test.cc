@@ -137,7 +137,7 @@ TEST_P(DeliveryLaneProperty, RunsInReferenceOrderAndReusesSlots) {
     d.at = at;
     d.src = rng.NextBelow(next_seq.size());
     d.seq = next_seq[d.src]++;
-    d.from = "s" + std::to_string(d.src);
+    d.from = static_cast<uint32_t>(d.src);
     d.bytes.assign(1 + rng.NextBelow(64), static_cast<uint8_t>(d.seq));
     sent.emplace_back(d.at, d.src, d.seq);
     peak = std::max(peak, ++pending);
@@ -146,7 +146,7 @@ TEST_P(DeliveryLaneProperty, RunsInReferenceOrderAndReusesSlots) {
   loop.SetDeliverFn([&](const SimDelivery& d) {
     --pending;
     ran.emplace_back(d.at, d.src, d.seq);
-    EXPECT_EQ(d.from, "s" + std::to_string(d.src));
+    EXPECT_EQ(d.from, d.src);
     EXPECT_EQ(d.bytes.back(), static_cast<uint8_t>(d.seq));
     EXPECT_EQ(loop.Now(), d.at);
     if (rng.CoinFlip(0.33)) {

@@ -70,8 +70,8 @@ TEST(FailureInjection, GarbageAndMalformedPacketsIgnored) {
     ta->SendTo("node", std::move(junk), TrafficClass::kMaintenance);
   }
   // Also well-framed tuples with absurd names/arities.
-  ta->SendTo("node", FrameTuple(Tuple("lookup", {})), TrafficClass::kLookup);
-  ta->SendTo("node", FrameTuple(Tuple("nosuchrule", {Value::Int(1)})),
+  ta->SendTo("node", FrameTuple(*Tuple::Make("lookup", {})), TrafficClass::kLookup);
+  ta->SendTo("node", FrameTuple(*Tuple::Make("nosuchrule", {Value::Int(1)})),
              TrafficClass::kMaintenance);
   loop.RunUntil(30.0);
   // The node is unharmed and still a functioning self-ring.

@@ -24,10 +24,10 @@ TEST_F(PelTest, PushConstAndFields) {
   p.Emit(PelOp::kPushConst, p.AddConst(Value::Int(7)));
   EXPECT_EQ(Run(p).AsInt(), 7);
 
-  Tuple t("r", {Value::Int(10), Value::Str("x")});
+  TuplePtr t = Tuple::Make("r", {Value::Int(10), Value::Str("x")});
   PelProgram q;
   q.Emit(PelOp::kPushField, 1);
-  EXPECT_EQ(Run(q, &t).AsStr(), "x");
+  EXPECT_EQ(Run(q, t.get()).AsStr(), "x");
 }
 
 TEST_F(PelTest, ConstPoolDeduplicates) {
@@ -147,14 +147,14 @@ TEST_F(PelTest, LocalAddr) {
 
 TEST_F(PelTest, ShlBuildsRingOffsets) {
   // K := N + (1 << I), the finger-target idiom.
-  Tuple t("f", {Value::Id(Uint160(100)), Value::Int(70)});
+  TuplePtr t = Tuple::Make("f", {Value::Id(Uint160(100)), Value::Int(70)});
   PelProgram p;
   p.Emit(PelOp::kPushField, 0);
   p.Emit(PelOp::kPushConst, p.AddConst(Value::Int(1)));
   p.Emit(PelOp::kPushField, 1);
   p.Emit(PelOp::kShl);
   p.Emit(PelOp::kAdd);
-  Value k = Run(p, &t);
+  Value k = Run(p, t.get());
   EXPECT_EQ(k.AsId(), Uint160(100) + (Uint160(1) << 70));
 }
 

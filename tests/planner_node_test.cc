@@ -575,15 +575,15 @@ TEST_F(PlannerNodeTest, WrongArityWireTuplesAreDropped) {
   n.Subscribe("out", [&](const TuplePtr& t) { outs.push_back(t->ToString()); });
   // A short "kv" tuple arriving off the wire must not plant a malformed
   // row (which would crash the join's field indexing later).
-  t2_->SendTo("n1", FrameTuple(Tuple("kv", {Value::Addr("n1")})),
+  t2_->SendTo("n1", FrameTuple(*Tuple::Make("kv", {Value::Addr("n1")})),
               TrafficClass::kMaintenance);
   // A short "ev" event must be dropped by the rule driver, and so must a
   // wide one: its extra field would shift the joined row's slots, binding
   // V to kv's K and deriving out(n1, 1).
-  t2_->SendTo("n1", FrameTuple(Tuple("ev", {Value::Addr("n1")})),
+  t2_->SendTo("n1", FrameTuple(*Tuple::Make("ev", {Value::Addr("n1")})),
               TrafficClass::kMaintenance);
   t2_->SendTo("n1",
-              FrameTuple(Tuple("ev", {Value::Addr("n1"), Value::Int(1), Value::Str("extra")})),
+              FrameTuple(*Tuple::Make("ev", {Value::Addr("n1"), Value::Int(1), Value::Str("extra")})),
               TrafficClass::kMaintenance);
   loop_.RunUntil(1.0);
   EXPECT_EQ(n.GetTable("kv")->size(), 1u);
@@ -615,7 +615,7 @@ TEST_F(PlannerNodeTest, ReceivedAddressesSurviveCacheEvictions) {
       std::string b = "10.1." + std::to_string(i % 7) + "." + std::to_string(i) + ":4000";
       want.emplace_back(a, b);
       t2_->SendTo("n1",
-                  FrameTuple(Tuple("hello", {Value::Addr("n1"), Value::Addr(a), Value::Addr(b)})),
+                  FrameTuple(*Tuple::Make("hello", {Value::Addr("n1"), Value::Addr(a), Value::Addr(b)})),
                   TrafficClass::kMaintenance);
     }
   }

@@ -114,7 +114,7 @@ TEST_P(MarshalProperty, CorruptedBytesNeverCrash) {
   for (int i = 0; i < 5; ++i) {
     fields.push_back(RandomValue(&rng, 2));
   }
-  std::vector<uint8_t> bytes = MarshalTupleToBytes(Tuple("t", fields));
+  std::vector<uint8_t> bytes = MarshalTupleToBytes(*Tuple::Make("t", fields));
   for (int trial = 0; trial < 500; ++trial) {
     std::vector<uint8_t> mutated = bytes;
     // Flip up to 4 random bytes and/or truncate.

@@ -38,7 +38,7 @@ bool Ready(const BodyTerm& term, const VarEnv& env) {
 }
 
 TuplePtr Extend(const TuplePtr& binding, const std::vector<Value>& more) {
-  std::vector<Value> fields = binding->fields();
+  std::vector<Value> fields = binding->fields().ToVector();
   fields.insert(fields.end(), more.begin(), more.end());
   return Tuple::Make("ref_binding", std::move(fields));
 }
@@ -319,7 +319,8 @@ std::vector<TuplePtr> ReferenceEvaluator::Fire(const Tuple& event, const RefData
       continue;
     }
     std::vector<TuplePtr> bindings;
-    Enumerate(rule, 0, empty, db, &event.fields(), &bindings);
+    const std::vector<Value> event_fields = event.fields().ToVector();
+    Enumerate(rule, 0, empty, db, &event_fields, &bindings);
     for (std::vector<Value>& row : Heads(rule, bindings)) {
       out.push_back(Tuple::Make(rule.head, std::move(row)));
     }

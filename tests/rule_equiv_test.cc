@@ -219,13 +219,16 @@ GenProgram Generate(std::mt19937* rng, bool retracting) {
   return p;
 }
 
-std::string RowKey(const std::string& name, const std::vector<Value>& fields) {
+std::string RowKey(const std::string& name, FieldSpan fields) {
   // Field 0 is always the node's own address; drop it.
   std::string s = name + "(";
   for (size_t i = 1; i < fields.size(); ++i) {
     s += fields[i].ToString() + ",";
   }
   return s + ")";
+}
+std::string RowKey(const std::string& name, const std::vector<Value>& fields) {
+  return RowKey(name, FieldSpan(fields.data(), fields.size()));
 }
 
 // Drives `p` on one node with a random operation sequence and checks it
@@ -258,7 +261,7 @@ void DriveAndCompare(const GenProgram& p, uint64_t seed, bool retracting,
     for (const GenTable& t : p.bases) {
       RefRelation& rows = base[t.name];
       for (const TuplePtr& row : node.GetTable(t.name)->Scan()) {
-        rows.insert(row->fields());
+        rows.insert(row->fields().ToVector());
       }
     }
     return ref.Fixpoint(base);
@@ -292,7 +295,7 @@ void DriveAndCompare(const GenProgram& p, uint64_t seed, bool retracting,
         std::vector<TuplePtr> rows = table->Scan();
         if (!rows.empty() && op == 4) {
           fields = rows[static_cast<size_t>(pick(0, static_cast<int>(rows.size()) - 1))]
-                       ->fields();
+                       ->fields().ToVector();
         }
         table->DeleteByKey(
             std::vector<Value>(fields.begin() + 1, fields.begin() + 1 + t.key_cols));
@@ -389,7 +392,7 @@ class MultiDerivationTest : public ::testing::Test {
   std::vector<std::string> ReferenceH() {
     RefDatabase base;
     for (const TuplePtr& row : node_->GetTable("b")->Scan()) {
-      base["b"].insert(row->fields());
+      base["b"].insert(row->fields().ToVector());
     }
     RefDatabase want = ref_.Fixpoint(base);
     std::vector<std::string> rows;
@@ -520,12 +523,12 @@ TEST(RuleEquivTest, HeadsInsertingIntoTheirProbedTableMatchTheReference) {
     if (op == 0) {
       TuplePtr ev = row("bump", a, b);
       for (const TuplePtr& h : ref.Fire(*ev, ref.Fixpoint(base))) {
-        base["t"].insert(h->fields());
+        base["t"].insert(h->fields().ToVector());
       }
       node.Inject(ev);
     } else {
       const char* name = op == 1 ? "t" : "link";
-      base[name].insert(row(name, a, b)->fields());
+      base[name].insert(row(name, a, b)->fields().ToVector());
       node.GetTable(name)->Insert(row(name, a, b));
     }
     loop.RunUntil(loop.Now() + 0.01);

@@ -14,20 +14,27 @@
 namespace p2 {
 namespace {
 
+// Deliveries carry address ids; a test names each message by an id into
+// this table.
+std::vector<std::string>& Tags() {
+  static std::vector<std::string> tags;
+  return tags;
+}
+
 SimDelivery Msg(double at, uint64_t src, uint64_t seq, const std::string& tag) {
   SimDelivery d;
   d.at = at;
   d.src = src;
   d.seq = seq;
-  d.from = tag;
-  d.to = "x";
+  d.from = static_cast<uint32_t>(Tags().size());
+  Tags().push_back(tag);
   return d;
 }
 
 TEST(DeliveryLane, OrdersByTimeSourceSequence) {
   SimEventLoop loop;
   std::vector<std::string> order;
-  loop.SetDeliverFn([&](const SimDelivery& d) { order.push_back(d.from); });
+  loop.SetDeliverFn([&](const SimDelivery& d) { order.push_back(Tags()[d.from]); });
   // Enqueued out of order on purpose: pop order must follow the key, not
   // insertion.
   loop.EnqueueLocal(Msg(2.0, 1, 0, "t2-s1"));
@@ -47,7 +54,7 @@ TEST(DeliveryLane, OrdersByTimeSourceSequence) {
 TEST(DeliveryLane, TimersFireBeforeDeliveriesAtTheSameInstant) {
   SimEventLoop loop;
   std::vector<std::string> order;
-  loop.SetDeliverFn([&](const SimDelivery& d) { order.push_back(d.from); });
+  loop.SetDeliverFn([&](const SimDelivery& d) { order.push_back(Tags()[d.from]); });
   loop.EnqueueLocal(Msg(1.0, 0, 0, "delivery"));
   loop.ScheduleAfter(1.0, [&]() { order.push_back("timer"); });
   loop.RunAll();

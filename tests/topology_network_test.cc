@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/sim/network.h"
 
 namespace p2 {
@@ -112,6 +116,65 @@ TEST_F(SimNetworkTest, AddressReuseAfterDeath) {
   a.reset();
   auto a2 = net_.MakeTransport("a", 5);
   EXPECT_EQ(a2->local_addr(), "a");
+}
+
+// Datagrams find their destination by address when they land, not when
+// they are sent: an endpoint restarted at the same address receives what
+// was in flight to its predecessor, with the sender's address intact.
+TEST_F(SimNetworkTest, RestartAtSameAddressReceivesInFlightDatagrams) {
+  auto a = net_.MakeTransport("a", 0);
+  auto b = net_.MakeTransport("b", 1);
+  std::vector<std::string> got;
+  b->SetReceiver([&](const std::string&, const std::vector<uint8_t>&) { got.push_back("old"); });
+  a->SendTo("b", {1}, TrafficClass::kMaintenance);
+  a->SendTo("b", {2}, TrafficClass::kMaintenance);
+  loop_.ScheduleAfter(0.01, [&]() {
+    b.reset();
+    b = net_.MakeTransport("b", 1);
+    b->SetReceiver([&](const std::string& from, const std::vector<uint8_t>& bytes) {
+      got.push_back(from + ":" + std::to_string(bytes[0]));
+    });
+  });
+  loop_.RunAll();
+  EXPECT_EQ(got, (std::vector<std::string>{"a:1", "a:2"}));
+  EXPECT_EQ(net_.delivered(), 2u);
+}
+
+// Many addresses, bound, killed and re-bound in any order: each datagram
+// reaches the endpoint holding its destination address when it lands,
+// and names its sender by the address the sender was bound to.
+TEST_F(SimNetworkTest, AddressIdsResolveAcrossManyRebinds) {
+  std::vector<std::unique_ptr<SimTransport>> nodes;
+  std::vector<std::vector<std::string>> got(8);
+  auto bind = [&](size_t i) {
+    nodes[i] = net_.MakeTransport("n" + std::to_string(i), i);
+    nodes[i]->SetReceiver([&got, i](const std::string& from, const std::vector<uint8_t>&) {
+      got[i].push_back(from);
+    });
+  };
+  nodes.resize(8);
+  for (size_t i = 0; i < 8; ++i) {
+    bind(7 - i);
+  }
+  nodes[3].reset();  // dead: sends to n3 vanish
+  for (size_t i = 0; i < 8; ++i) {
+    if (nodes[i] != nullptr) {
+      nodes[i]->SendTo("n" + std::to_string((i + 1) % 8), {0}, TrafficClass::kMaintenance);
+      nodes[i]->SendTo("nowhere", {0}, TrafficClass::kMaintenance);
+    }
+  }
+  loop_.RunAll();
+  for (size_t i = 0; i < 8; ++i) {
+    std::vector<std::string> want;
+    if (i != 3 && i != 4) {  // n3 is dead and sent nothing to n4
+      want.push_back("n" + std::to_string((i + 7) % 8));
+    }
+    EXPECT_EQ(got[i], want) << "n" << i;
+  }
+  bind(3);  // back at its old address
+  nodes[2]->SendTo("n3", {0}, TrafficClass::kMaintenance);
+  loop_.RunAll();
+  EXPECT_EQ(got[3], (std::vector<std::string>{"n2"}));
 }
 
 }  // namespace

@@ -51,6 +51,104 @@ TEST(Tuple, SameAs) {
   EXPECT_FALSE(a->SameAs(*d));
 }
 
+TEST(TuplePtr, CopyMoveAndSelfAssignment) {
+  TuplePtr a = Tuple::Make("r", {Value::Int(1)});
+  const Tuple* raw = a.get();
+  EXPECT_EQ(a.use_count(), 1u);
+  TuplePtr b = a;  // copy shares the block
+  EXPECT_EQ(b.get(), raw);
+  EXPECT_EQ(a.use_count(), 2u);
+  TuplePtr c = std::move(b);  // move transfers, leaving null
+  EXPECT_EQ(b, nullptr);
+  EXPECT_EQ(c.get(), raw);
+  EXPECT_EQ(a.use_count(), 2u);
+  TuplePtr& c_ref = c;
+  c = c_ref;  // self copy-assignment keeps the tuple alive
+  EXPECT_EQ(c.get(), raw);
+  EXPECT_EQ(c->field(0).AsInt(), 1);
+  EXPECT_EQ(a.use_count(), 2u);
+  c = std::move(c_ref);  // self move-assignment leaves it intact too
+  EXPECT_EQ(c.get(), raw);
+  EXPECT_EQ(a.use_count(), 2u);
+  TuplePtr d = Tuple::Make("r", {Value::Int(2)});
+  d = a;  // copy-assign over a live tuple releases the old one
+  EXPECT_EQ(d.get(), raw);
+  EXPECT_EQ(a.use_count(), 3u);
+  d.reset();
+  EXPECT_EQ(d, nullptr);
+  EXPECT_EQ(a.use_count(), 2u);
+  // A raw pointer to a live tuple can be re-owned (handles are intrusive).
+  TuplePtr e(raw);
+  EXPECT_EQ(a.use_count(), 3u);
+  e.swap(d);
+  EXPECT_EQ(e, nullptr);
+  EXPECT_EQ(d.get(), raw);
+}
+
+TEST(TuplePtr, NullComparisons) {
+  TuplePtr null;
+  TuplePtr also_null = nullptr;
+  EXPECT_TRUE(null == nullptr);
+  EXPECT_TRUE(nullptr == null);
+  EXPECT_FALSE(null != nullptr);
+  EXPECT_FALSE(static_cast<bool>(null));
+  EXPECT_EQ(null, also_null);
+  EXPECT_EQ(null.use_count(), 0u);
+  EXPECT_EQ(null.get(), nullptr);
+  TuplePtr t = Tuple::Make("r", {});
+  EXPECT_TRUE(t != nullptr);
+  EXPECT_TRUE(nullptr != t);
+  EXPECT_TRUE(static_cast<bool>(t));
+  EXPECT_NE(t, null);
+  // Equality is identity, not content.
+  EXPECT_NE(t, Tuple::Make("r", {}));
+  t = nullptr;
+  EXPECT_EQ(t, null);
+}
+
+TEST(Tuple, BuildFillsFieldsInPlace) {
+  SchemaId schema = InternSchema("built");
+  TuplePtr t = Tuple::Build(schema, 3, [](Value* f) {
+    EXPECT_TRUE(f[0].is_null() && f[1].is_null() && f[2].is_null());  // start Null
+    f[0] = Value::Addr("n1");
+    f[2] = Value::Str("tail");
+  });
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->name(), "built");
+  EXPECT_EQ(t->schema(), schema);
+  ASSERT_EQ(t->size(), 3u);
+  EXPECT_EQ(t->field(0).AsAddr(), "n1");
+  EXPECT_TRUE(t->field(1).is_null());
+  EXPECT_EQ(t->fields()[2].AsStr(), "tail");
+  EXPECT_TRUE(t->SameAs(*Tuple::Make("built", {Value::Addr("n1"), Value::Null(),
+                                               Value::Str("tail")})));
+  // A fill may abandon the tuple.
+  EXPECT_EQ(Tuple::Build(schema, 2, [](Value* f) {
+              f[0] = Value::Str("dropped");
+              return false;
+            }),
+            nullptr);
+  TuplePtr empty = Tuple::Build(schema, 0, [](Value*) { return true; });
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_EQ(empty->fields().begin(), empty->fields().end());
+}
+
+// A frame whose third field is cut short: the decoder has already built
+// the first two (a heap-backed Str among them) into the tuple when it
+// fails. The ASan build's leak check catches a partial tuple that is not
+// freed; alloc_test checks the same path balances every allocation.
+TEST(Marshal, UnmarshalFailingMidFrameReturnsNothing) {
+  TuplePtr t = Tuple::Make("lookup", {Value::Str("partly built"), Value::Addr("n1"),
+                                      Value::Str("cut")});
+  std::vector<uint8_t> bytes = MarshalTupleToBytes(*t);
+  bytes.resize(bytes.size() - 2);
+  EXPECT_FALSE(UnmarshalTupleFromBytes(bytes).has_value());
+  AddrCache addrs;
+  ByteReader r(bytes);
+  EXPECT_FALSE(UnmarshalTuple(&r, &addrs).has_value());
+}
+
 TEST(Marshal, ValueRoundTripAllTypes) {
   TuplePtr t = SampleTuple();
   for (const Value& v : t->fields()) {
@@ -298,16 +396,16 @@ TEST(Marshal, OversizeTupleRejected) {
   // The wire field count is a u16: 65536 fields must be rejected outright,
   // not silently truncated to 0.
   std::vector<Value> fields(65536, Value::Int(1));
-  Tuple big("big", std::move(fields));
+  TuplePtr big = Tuple::Make("big", std::move(fields));
   ByteWriter w;
-  EXPECT_FALSE(MarshalTuple(big, &w));
+  EXPECT_FALSE(MarshalTuple(*big, &w));
   EXPECT_EQ(w.size(), 0u);
-  EXPECT_TRUE(MarshalTupleToBytes(big).empty());
-  EXPECT_TRUE(FrameTuple(big).empty());
+  EXPECT_TRUE(MarshalTupleToBytes(*big).empty());
+  EXPECT_TRUE(FrameTuple(*big).empty());
 
   std::vector<Value> max_fields(65535, Value::Int(1));
-  Tuple at_limit("max", std::move(max_fields));
-  std::optional<TuplePtr> back = UnmarshalTupleFromBytes(MarshalTupleToBytes(at_limit));
+  TuplePtr at_limit = Tuple::Make("max", std::move(max_fields));
+  std::optional<TuplePtr> back = UnmarshalTupleFromBytes(MarshalTupleToBytes(*at_limit));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ((*back)->size(), 65535u);
 }
